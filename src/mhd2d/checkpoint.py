@@ -13,7 +13,8 @@ Little-endian layout:
     w       n*n*(re f64, im f64) row-major, wavenumber index order
     j       n*n*(re f64, im f64) same
 
-Round trips are bit-exact.
+Round trips are bit-exact.  Reading rejects, with CheckpointFormatError,
+any payload that is not a valid dealiased, zero-mean, Hermitian state.
 """
 
 from __future__ import annotations
@@ -70,12 +71,17 @@ def read_checkpoint(path) -> Checkpoint:
     if len(body) != expected:
         raise CheckpointFormatError(f"payload is {len(body)} bytes, expected {expected}")
     coefs = np.frombuffer(body, dtype="<c16").astype(np.complex128)
-    grid = sp.TorusGrid(n)
-    w = sp.SpectralField(grid, coefs[: n * n].reshape(n, n), dealiased=True)
-    j = sp.SpectralField(grid, coefs[n * n :].reshape(n, n), dealiased=True)
+    try:  # a bad n, non-finite coefficients or a non-zero mean mode
+        grid = sp.TorusGrid(n)
+        w = sp.SpectralField(grid, coefs[: n * n].reshape(n, n), dealiased=True)
+        j = sp.SpectralField(grid, coefs[n * n :].reshape(n, n), dealiased=True)
+        state = MHDState(t=t, w=w, j=j)
+    except ValueError as err:
+        raise CheckpointFormatError(str(err)) from err
     for name, f in (("w", w), ("j", j)):
         top = float(np.max(np.abs(f.coef)))
         if top > 0 and f.hermitian_defect() > 1e-10 * top:
             raise CheckpointFormatError(f"{name} coefficients are not Hermitian-symmetric")
-    state = MHDState(t=t, w=w, j=j)
+        if np.any(f.coef[~grid.dealias_mask]):
+            raise CheckpointFormatError(f"{name} has coefficients outside the 2/3 dealias band")
     return Checkpoint(state=state, alpha=alpha, beta=beta, nu=nu, eta=eta)

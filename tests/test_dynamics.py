@@ -1,5 +1,8 @@
 """Tests for the vorticity-current dynamics, stepping, and checkpoints."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,27 @@ class TestVorticityRHS:
         assert np.max(np.abs(cw.coef + lin_w - dw.coef)) / np.max(np.abs(dw.coef)) < 1e-10
         assert np.max(np.abs(cj.coef + lin_j - dj.coef)) / np.max(np.abs(dj.coef)) < 1e-10
 
+    def test_fft_budget(self, monkeypatch):
+        # 6 inverse + 3 forward transforms per stage; the per-step advective
+        # bound reuses the stage-1 velocities, so a step is exactly 4 stages.
+        state = random_state(n=32, band=10, seed=6)
+        calls = []
+
+        def counting(real):
+            def wrapped(*args, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        dyn.vorticity_rhs(state)
+        assert len(calls) == 9
+        calls.clear()
+        dyn.step(state, ideal_config(n=32))
+        assert len(calls) == 36
+
     def test_primitive_tendency_is_divergence_free(self):
         state = random_state(n=64, band=12, seed=23)
         dp = dyn.primitive_rhs(dyn.primitive_from_state(state), ideal_config(n=64))
@@ -177,6 +201,32 @@ class TestStep:
         e1 = np.max(np.abs(s1.w.coef - s2.w.coef))
         e2 = np.max(np.abs(s2.w.coef - s3.w.coef))
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
+
+    def test_stages_run_at_their_own_times(self, monkeypatch):
+        state = dataclasses.replace(random_state(n=32, band=10), t=0.3)
+        h = 0.01
+        times = []
+        real = dyn._nonlinear_half
+
+        def spy(grid, wc, jc, t, *args):
+            times.append(t)
+            return real(grid, wc, jc, t, *args)
+
+        monkeypatch.setattr(dyn, "_nonlinear_half", spy)
+        dyn.step(state, ideal_config(n=32), h)
+        assert times == [0.3, 0.3 + h / 2, 0.3 + h / 2, 0.3 + h]
+
+    def test_advective_bound_checked_every_step(self):
+        state = dataclasses.replace(random_state(n=32, band=10, seed=3, amp=5.0), t=0.7)
+        bound = dyn.advective_dt_bound(state)
+        cfg = ideal_config(n=32)
+        with pytest.raises(dyn.SimulationAbort) as info:
+            dyn.step(state, cfg, np.nextafter(bound, np.inf))
+        assert "step bound" in info.value.reason
+        assert info.value.state is state
+        assert info.value.t == state.t
+        out = dyn.step(state, cfg, np.nextafter(bound, 0.0))
+        assert out.t > state.t
 
     def test_blowup_raises_simulation_abort(self):
         state = random_state(n=32, band=10, seed=5, amp=300.0)
@@ -341,3 +391,39 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ckpt.CheckpointFormatError):
             ckpt.read_checkpoint(path)
+
+    def _corrupt(self, tmp_path, edit):
+        """Write a valid n=32 checkpoint, let `edit` rewrite its bytes."""
+        path = tmp_path / "bad.mhd2"
+        ckpt.write_checkpoint(path, random_state(n=32, band=9, seed=4), ideal_config(n=32))
+        path.write_bytes(edit(bytearray(path.read_bytes())))
+        return path
+
+    def test_bad_grid_size_rejected(self, tmp_path):
+        # n = 12 is not a power of two; the payload is cut to match it.
+        def edit(raw):
+            raw[8:12] = struct.pack("<I", 12)
+            return raw[: ckpt._HEADER.size + 2 * 12 * 12 * 16]
+
+        with pytest.raises(ckpt.CheckpointFormatError, match="power of two"):
+            ckpt.read_checkpoint(self._corrupt(tmp_path, edit))
+
+    @pytest.mark.parametrize("value, match", [(1.0, "mean"), (float("nan"), "non-finite")])
+    def test_bad_mean_mode_rejected(self, tmp_path, value, match):
+        def edit(raw):
+            raw[ckpt._HEADER.size : ckpt._HEADER.size + 8] = struct.pack("<d", value)
+            return raw
+
+        with pytest.raises(ckpt.CheckpointFormatError, match=match):
+            ckpt.read_checkpoint(self._corrupt(tmp_path, edit))
+
+    def test_energy_outside_dealias_band_rejected(self, tmp_path):
+        # A real, Hermitian pair at xi = (+-11, 0), just past the n=32 cutoff 10.
+        def edit(raw):
+            for row in (11, 32 - 11):
+                at = ckpt._HEADER.size + row * 32 * 16
+                raw[at : at + 8] = struct.pack("<d", 1.0)
+            return raw
+
+        with pytest.raises(ckpt.CheckpointFormatError, match="dealias"):
+            ckpt.read_checkpoint(self._corrupt(tmp_path, edit))

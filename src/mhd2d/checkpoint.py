@@ -71,7 +71,7 @@ def read_checkpoint(path) -> Checkpoint:
     if len(body) != expected:
         raise CheckpointFormatError(f"payload is {len(body)} bytes, expected {expected}")
     coefs = np.frombuffer(body, dtype="<c16").astype(np.complex128)
-    try:  # a bad n, non-finite coefficients or a non-zero mean mode
+    try:  # a bad n, non-finite coefficients, a non-zero mean mode, or aliased modes
         grid = sp.TorusGrid(n)
         w = sp.SpectralField(grid, coefs[: n * n].reshape(n, n), dealiased=True)
         j = sp.SpectralField(grid, coefs[n * n :].reshape(n, n), dealiased=True)
@@ -82,6 +82,4 @@ def read_checkpoint(path) -> Checkpoint:
         top = float(np.max(np.abs(f.coef)))
         if top > 0 and f.hermitian_defect() > 1e-10 * top:
             raise CheckpointFormatError(f"{name} coefficients are not Hermitian-symmetric")
-        if np.any(f.coef[~grid.dealias_mask]):
-            raise CheckpointFormatError(f"{name} has coefficients outside the 2/3 dealias band")
     return Checkpoint(state=state, alpha=alpha, beta=beta, nu=nu, eta=eta)

@@ -101,7 +101,8 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
     lp4_w = float((TWO_PI**2 * np.mean(over_w**4)) ** 0.25)
     lp8_w = float((TWO_PI**2 * np.mean(over_w**8)) ** 0.125)
     linf_w = float(over_w.max())
-    linf_grad_u = sp.pointwise_magnitude_sup(sp.velocity_gradient(w), OVERSAMPLE)
+    grad_sq = sp.gradient_magnitude_sq(sp.velocity_gradient(w), OVERSAMPLE)
+    linf_grad_u = float(np.sqrt(grad_sq.max()))
 
     rec = DiagnosticsRecord(
         t=float(state.t),
@@ -271,10 +272,7 @@ def cz_ratio(w: SpectralField, p: float) -> float:
     if p == 2:
         grad_sq = sum(sp.l2_norm_sq(c) for c in sp.velocity_gradient(w))
         return math.sqrt(grad_sq / sp.l2_norm_sq(w))
-    grads = sp.velocity_gradient(w)
-    mags = np.zeros((OVERSAMPLE * w.grid.n,) * 2)
-    for c in grads:
-        mags += sp.oversampled_values(c, OVERSAMPLE) ** 2
+    mags = sp.gradient_magnitude_sq(sp.velocity_gradient(w), OVERSAMPLE)
     return _lp_of_values(np.sqrt(mags), p) / sp.lp_norm(w, p, OVERSAMPLE)
 
 

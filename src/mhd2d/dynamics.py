@@ -17,6 +17,15 @@ products formed pointwise in physical space and 2/3-dealiased afterwards.
 A 2/3-dealiased quadratic product is an exact Galerkin truncation
 (Orszag, J. Atmos. Sci. 28:1074, 1971), so this equals the advective form
 of the same equations to round-off.
+
+Inside a step every spectral array is the compact block of the n//3 + 1
+leading half-spectrum columns (|xi_2| <= n/3), n x (n//3 + 1) instead of
+n x (n//2 + 1).  The state is dealiased (MHDState checks it) and every
+tendency is multiplied by the 2/3 mask, so the dropped columns are exactly
+zero at every stage; the transforms skip them (spectral's compact-column
+convention) and the step gives the same bits as full-width transforms.
+The block becomes the full n x n layout only when `step` and
+`vorticity_rhs` return.
 """
 
 from __future__ import annotations
@@ -95,7 +104,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MHDState:
-    """(vorticity, current) pair at time t; both zero-mean and dealiased."""
+    """(vorticity, current) pair at time t; both zero-mean and dealiased
+    (no coefficient outside the grid's dealias_mask)."""
 
     t: float
     w: SpectralField
@@ -103,9 +113,13 @@ class MHDState:
 
     def __post_init__(self):
         sp._check_same_grid(self.w, self.j)
+        n, c = self.grid.n, self.grid.dealias_cutoff
         for name, f in (("w", self.w), ("j", self.j)):
             if f.coef[0, 0] != 0.0:
                 raise sp.MeanModeError(f"{name} must have an exactly zero mean mode")
+            # Rows, then columns, with max(|xi_1|, |xi_2|) > n/3.
+            if f.coef[c + 1 : n - c].any() or f.coef[:, c + 1 : n - c].any():
+                raise sp.DealiasError(f"{name} has coefficients outside the 2/3 dealias band")
 
     @property
     def grid(self) -> TorusGrid:
@@ -117,25 +131,26 @@ def _cached_grid(n: int) -> TorusGrid:
     return TorusGrid(n)
 
 
-def _half(arr, n):
-    return arr[:, : n // 2 + 1]
+def _block(arr, n):
+    """The n//3 + 1 leading half-spectrum columns, the compact block."""
+    return arr[:, : n // 3 + 1]
 
 
 @functools.lru_cache(maxsize=32)
 def _half_multipliers(n: int):
-    """Half-spectrum Biot-Savart (i xi2, -i xi1)/|xi|^2 and the 2/3-masked
+    """Compact-block Biot-Savart (i xi2, -i xi1)/|xi|^2 and the 2/3-masked
     -i xi1, -i xi2, |xi|^2; all vanish at xi = 0, so means stay exactly 0."""
     g = _cached_grid(n)
-    kd1, kd2, inv = _half(g.kd1, n), _half(g.kd2, n), _half(g.inv_ksq, n)
-    ksq, mask = _half(g.ksq, n), _half(g.dealias_mask, n)
+    kd1, kd2, inv = _block(g.kd1, n), _block(g.kd2, n), _block(g.inv_ksq, n)
+    ksq, mask = _block(g.ksq, n), _block(g.dealias_mask, n)
     ms = (1j * kd2 * inv, -1j * kd1 * inv, -1j * kd1 * mask, -1j * kd2 * mask, ksq * mask)
     return tuple(sp._frozen(m) for m in ms)
 
 
 def _velocities(n: int, wc, jc):
-    """Physical (u1, u2, b1, b2) from half-spectrum (w, j) by Biot-Savart."""
+    """Physical (u1, u2, b1, b2) from compact-block (w, j) by Biot-Savart."""
     bs1, bs2 = _half_multipliers(n)[:2]
-    return [np.fft.irfft2(m * c, s=(n, n)) for c in (wc, jc) for m in (bs1, bs2)]
+    return [sp._inverse_columns(m * c, n) for c in (wc, jc) for m in (bs1, bs2)]
 
 
 def _dt_bound(grid: TorusGrid, u1, u2, b1, b2, safety: float = 0.5) -> float:
@@ -144,7 +159,7 @@ def _dt_bound(grid: TorusGrid, u1, u2, b1, b2, safety: float = 0.5) -> float:
 
 
 def _nonlinear_half(grid: TorusGrid, wc, jc, t: float, h: float | None = None):
-    """Non-stiff right-hand side of the curl system on half spectra, at time t.
+    """Non-stiff right-hand side of the curl system on compact blocks, at time t.
 
     dw_hat = -i xi . P[FT(u w - b j)]
     dj_hat = |xi|^2 P[FT(u1 b2 - u2 b1)]
@@ -161,12 +176,15 @@ def _nonlinear_half(grid: TorusGrid, wc, jc, t: float, h: float | None = None):
     """
     n = grid.n
     _, _, dx1, dx2, lap = _half_multipliers(n)
+    width = lap.shape[1]
     u1, u2, b1, b2 = _velocities(n, wc, jc)
     if h is not None and h > (bound := _dt_bound(grid, u1, u2, b1, b2)):
         raise SimulationAbort(t, f"advective step bound violated: dt={h:g} > {bound:g}")
-    w, j = (np.fft.irfft2(c, s=(n, n)) for c in (wc, jc))
-    dw = dx1 * np.fft.rfft2(u1 * w - b1 * j) + dx2 * np.fft.rfft2(u2 * w - b2 * j)
-    dj = lap * np.fft.rfft2(u1 * b2 - u2 * b1)
+    w, j = (sp._inverse_columns(c, n) for c in (wc, jc))
+    dw = dx1 * sp._forward_columns(u1 * w - b1 * j, width) + dx2 * sp._forward_columns(
+        u2 * w - b2 * j, width
+    )
+    dj = lap * sp._forward_columns(u1 * b2 - u2 * b1, width)
     if not (np.isfinite(dw).all() and np.isfinite(dj).all()):
         raise SimulationAbort(t, "non-finite value in a nonlinear product")
     return dw, dj
@@ -176,17 +194,17 @@ def vorticity_rhs(state: MHDState):
     """Non-stiff part of the curl-system tendency as spectral fields."""
     g = state.grid
     n = g.n
-    halves = _nonlinear_half(g, _half(state.w.coef, n), _half(state.j.coef, n), state.t)
-    return tuple(SpectralField(g, sp._hermitian_extend(d, n), True) for d in halves)
+    blocks = _nonlinear_half(g, _block(state.w.coef, n), _block(state.j.coef, n), state.t)
+    return tuple(SpectralField(g, sp._hermitian_extend(d, n), True) for d in blocks)
 
 
 @functools.lru_cache(maxsize=16)
 def _integrating_factors(n, dt, nu, alpha, eta, beta):
-    """Half-spectrum exp(-nu|xi|^(2a) dt/2), its square, and the same for
+    """Compact-block exp(-nu|xi|^(2a) dt/2), its square, and the same for
     (eta, beta); exact linear flow over one step and half step."""
     grid = _cached_grid(n)
-    lam_w = nu * _half(sp.symbol_power(grid, alpha), n)
-    lam_j = eta * _half(sp.symbol_power(grid, beta), n)
+    lam_w = nu * _block(sp.symbol_power(grid, alpha), n)
+    lam_j = eta * _block(sp.symbol_power(grid, beta), n)
     return (
         np.exp(-0.5 * dt * lam_w),
         np.exp(-dt * lam_w),
@@ -207,7 +225,7 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
         g.n, h, float(config.nu), float(config.alpha), float(config.eta), float(config.beta)
     )
     n = g.n
-    wc, jc, t = _half(state.w.coef, n), _half(state.j.coef, n), state.t
+    wc, jc, t = _block(state.w.coef, n), _block(state.j.coef, n), state.t
 
     th = t + 0.5 * h
     try:
@@ -237,7 +255,7 @@ def advective_dt_bound(state: MHDState, safety: float = 0.5) -> float:
     """safety * (grid spacing) / max(||u||_inf, ||b||_inf) on the
     collocation grid; inf when the state is at rest."""
     n = state.grid.n
-    u1, u2, b1, b2 = _velocities(n, _half(state.w.coef, n), _half(state.j.coef, n))
+    u1, u2, b1, b2 = _velocities(n, _block(state.w.coef, n), _block(state.j.coef, n))
     return _dt_bound(state.grid, u1, u2, b1, b2, safety)
 
 
@@ -363,12 +381,13 @@ def rescale(state: MHDState, lam: int, gamma: float, tail_tol: float = 0.0) -> M
 
 @dataclass(frozen=True)
 class PrimitiveState:
-    """Divergence-free (u, b) as spectral components."""
+    """Divergence-free (u, b) as spectral components, at time t."""
 
     u1: SpectralField
     u2: SpectralField
     b1: SpectralField
     b2: SpectralField
+    t: float
 
     def __post_init__(self):
         sp._check_same_grid(self.u1, self.u2, self.b1, self.b2)
@@ -391,7 +410,7 @@ class PrimitiveState:
 def primitive_from_state(state: MHDState) -> PrimitiveState:
     u1, u2 = sp.biot_savart(state.w)
     b1, b2 = sp.biot_savart(state.j)
-    return PrimitiveState(u1, u2, b1, b2)
+    return PrimitiveState(u1, u2, b1, b2, state.t)
 
 
 def leray_project(v1: SpectralField, v2: SpectralField):
@@ -440,7 +459,7 @@ def primitive_rhs(pstate: PrimitiveState, config: SolverConfig) -> PrimitiveStat
     out = {}
     for name, phys in terms.items():
         if not np.isfinite(phys).all():
-            raise SimulationAbort(0.0, f"non-finite value in a nonlinear product ({name})")
+            raise SimulationAbort(pstate.t, f"non-finite value in a nonlinear product ({name})")
         coef = np.where(mask, sp._forward_array(g, phys), 0.0)
         coef[0, 0] = 0.0
         out[name] = SpectralField(g, coef, True)
@@ -454,4 +473,5 @@ def primitive_rhs(pstate: PrimitiveState, config: SolverConfig) -> PrimitiveStat
         u2=SpectralField(g, du2.coef - visc * pstate.u2.coef, True),
         b1=SpectralField(g, db1.coef - diff * pstate.b1.coef, True),
         b2=SpectralField(g, db2.coef - diff * pstate.b2.coef, True),
+        t=pstate.t,
     )

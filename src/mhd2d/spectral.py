@@ -16,6 +16,15 @@ Conventions used throughout the package:
   round trips with rfft2/irfft2 and extending the half spectrum by
   Hermitian symmetry, which also keeps coef(-xi) == conj(coef(xi))
   exact at the bit level.
+* Compact columns.  A band-limited field occupies only the leading
+  columns 0 .. width-1 of its half spectrum (width = n//3 + 1 for a
+  2/3-dealiased field).  A real 2D transform is a complex pass along
+  axis 0, one 1D transform per half-spectrum column, and a real pass
+  along axis 1.  `_inverse_columns` and `_forward_columns` run the
+  complex pass on the leading columns only; the real pass zero-pads
+  them itself.  Every skipped column is exactly zero and every 1D
+  transform that runs is the one rfft2/irfft2 would run, so the results
+  are bit-identical to the full-width transforms.
 
 All operations are pure: they never mutate their inputs, and the arrays
 wrapped by a field are frozen (writeable=False) at construction.
@@ -23,6 +32,7 @@ wrapped by a field are frozen (writeable=False) at construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +50,10 @@ class NonFiniteFieldError(ValueError):
 
 class MeanModeError(ValueError):
     """An operation required a zero-mean field but xi=0 carries mass."""
+
+
+class DealiasError(ValueError):
+    """A field required to be 2/3-dealiased carries a mode outside the band."""
 
 
 def _frozen(arr):
@@ -164,17 +178,36 @@ def _negated_index(n: int) -> np.ndarray:
 
 
 def _hermitian_extend(half: np.ndarray, n: int) -> np.ndarray:
-    """Full n x n spectrum from the rfft2 half spectrum; exact symmetry."""
+    """Full n x n spectrum from the leading columns of an rfft2 half
+    spectrum: all n//2 + 1 of them, or fewer when the rest are zero.
+    Exact symmetry; the mirrored columns are copied through views."""
+    width = half.shape[1]
     full = np.empty((n, n), dtype=np.complex128)
-    full[:, : n // 2 + 1] = half
+    full[:, :width] = half
+    full[:, width : n - width + 1] = 0.0
     rows = _negated_index(n)
     # Columns 0 and n/2 mirror onto themselves; average out the round-off
     # asymmetry the real FFT leaves there.
     for c in (0, n // 2):
-        full[:, c] = 0.5 * (half[:, c] + np.conj(half[rows, c]))
-    cols = np.arange(n // 2 + 1, n)
-    full[:, cols] = np.conj(full[rows][:, n - cols])
+        if c < width:
+            full[:, c] = 0.5 * (half[:, c] + np.conj(half[rows, c]))
+    # Column n - c is conj(column c) with rows negated: row 0 stays, rows
+    # 1 .. n-1 come from rows n-1 .. 1.
+    last = min(width, n // 2)
+    np.conj(half[0, last - 1 : 0 : -1], out=full[0, n - last + 1 :])
+    np.conj(half[:0:-1, last - 1 : 0 : -1], out=full[1:, n - last + 1 :])
     return full
+
+
+def _inverse_columns(block: np.ndarray, m: int) -> np.ndarray:
+    """m x m real samples from the leading half-spectrum columns `block`
+    (m rows, the columns not given are zero); irfft2 bit for bit."""
+    return np.fft.irfft2(np.fft.ifft(block, axis=0), s=(m,), axes=(1,))
+
+
+def _forward_columns(values: np.ndarray, width: int) -> np.ndarray:
+    """The leading `width` columns of rfft2(values), bit for bit."""
+    return np.fft.fft(np.fft.rfft2(values, axes=(1,))[:, :width], axis=0)
 
 
 def forward(f: RealField) -> SpectralField:
@@ -199,13 +232,25 @@ def _inverse_array(grid: TorusGrid, coef: np.ndarray) -> np.ndarray:
 
 
 def symbol_power(grid: TorusGrid, gamma: float) -> np.ndarray:
-    """|xi|^(2*gamma) on the lattice; the xi=0 entry is 0 unless gamma == 0."""
+    """|xi|^(2*gamma) on the lattice; the xi=0 entry is 0 unless gamma == 0.
+
+    Cached per (n, gamma); the returned array is shared and read-only.
+    """
+    return _symbol_power(grid.n, float(gamma))
+
+
+@functools.lru_cache(maxsize=16)
+def _symbol_power(n: int, gamma: float) -> np.ndarray:
+    # Keyed by n, not by the grid, so that the cache keeps no grid alive;
+    # ksq is formed as in TorusGrid, with the same bits.
     if gamma == 0.0:
-        return np.ones((grid.n, grid.n))
-    sym = np.zeros((grid.n, grid.n))
-    nz = grid.ksq > 0
-    sym[nz] = grid.ksq[nz] ** gamma
-    return sym
+        return _frozen(np.ones((n, n)))
+    k = np.fft.fftfreq(n, 1.0 / n)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    sym = np.zeros((n, n))
+    nz = ksq > 0
+    sym[nz] = ksq[nz] ** gamma
+    return _frozen(sym)
 
 
 def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
@@ -333,10 +378,13 @@ def oversampled_values(F: SpectralField, factor: int = 4) -> np.ndarray:
     if active_band(F, rel_tol=1e-13) > n // 2 - 1:
         raise ValueError("field carries Nyquist content; cannot oversample exactly")
     m = factor * n
-    half = np.zeros((m, m // 2 + 1), dtype=np.complex128)
-    rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
-    half[rows, : n // 2 + 1] = F.coef[:, : n // 2 + 1]
-    return np.fft.irfft2(half, s=(m, m)) * factor**2
+    # Only the columns up to the last nonzero one enter the complex pass.
+    occupied = np.flatnonzero(F.coef[:, : n // 2 + 1].any(axis=0))
+    width = int(occupied[-1]) + 1 if occupied.size else 1
+    block = np.zeros((m, width), dtype=np.complex128)
+    block[: n // 2] = F.coef[: n // 2, :width]
+    block[m - n // 2 :] = F.coef[n // 2 :, :width]
+    return _inverse_columns(block, m) * factor**2
 
 
 def lp_norm(F: SpectralField, p: float, oversample: int = 4) -> float:
@@ -348,6 +396,20 @@ def lp_norm(F: SpectralField, p: float, oversample: int = 4) -> float:
     if np.isinf(p):
         return float(vals.max())
     return float((TWO_PI**2 * np.mean(vals**p)) ** (1.0 / p))
+
+
+def gradient_magnitude_sq(grads, oversample: int = 4) -> np.ndarray:
+    """|grad u|^2 on the oversampled grid from the four components
+    (d1u1, d2u1, d1u2, d2u2) of `velocity_gradient` (or a common real
+    multiplier of them).  Three transforms: d2u2 = -d1u1 holds exactly,
+    so its square is that of d1u1, and the four squares are summed in
+    the order of `pointwise_magnitude_sup`, with the same bits.  One
+    component is held at a time, which keeps the peak memory down."""
+    sq11 = oversampled_values(grads[0], oversample) ** 2
+    acc = sq11 + oversampled_values(grads[1], oversample) ** 2
+    acc += oversampled_values(grads[2], oversample) ** 2
+    acc += sq11
+    return acc
 
 
 def pointwise_magnitude_sup(fields, oversample: int = 4) -> float:

@@ -60,6 +60,14 @@ class TestMHDState:
         with pytest.raises(sp.MeanModeError):
             dyn.MHDState(0.0, sp.SpectralField(g, c), sp.SpectralField.zeros(g))
 
+    def test_coefficients_outside_dealias_band_rejected(self):
+        # A real, Hermitian pair at xi = (0, +-15) = (0, +-(n/2 - 1)); the cutoff is 10.
+        g = sp.TorusGrid(32)
+        c = np.zeros((32, 32), dtype=np.complex128)
+        c[0, 15] = c[0, 32 - 15] = 1.0
+        with pytest.raises(sp.DealiasError, match="dealias"):
+            dyn.MHDState(0.0, sp.SpectralField.zeros(g), sp.SpectralField(g, c))
+
 
 class TestVorticityRHS:
     def test_zero_state_gives_zero_tendency(self):
@@ -122,6 +130,14 @@ class TestVorticityRHS:
         calls.clear()
         dyn.step(state, ideal_config(n=32))
         assert len(calls) == 36
+
+    def test_primitive_abort_reports_the_state_time(self):
+        # Coefficients of about 1e200 overflow the quadratic products.
+        state = dataclasses.replace(random_state(n=32, band=10, seed=2, amp=1e200), t=0.3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dyn.SimulationAbort, match="non-finite") as info:
+                dyn.primitive_rhs(dyn.primitive_from_state(state), ideal_config(n=32))
+        assert info.value.t == 0.3
 
     def test_primitive_tendency_is_divergence_free(self):
         state = random_state(n=64, band=12, seed=23)

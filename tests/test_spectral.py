@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mhd2d import diagnostics as dg
+from mhd2d import dynamics as dyn
 from mhd2d import spectral as sp
 
 
@@ -265,3 +267,99 @@ class TestNorms:
         a = sp.random_band_field(grid64, np.random.default_rng(77), band=9)
         b = sp.random_band_field(grid64, np.random.default_rng(77), band=9)
         assert np.array_equal(a.coef, b.coef)
+
+
+def _nyquist_free_field(g, rng):
+    """Random real field with content in every mode up to max component n/2 - 1."""
+    n = g.n
+    coef = sp.forward(sp.RealField(g, rng.standard_normal((n, n)))).coef.copy()
+    coef[n // 2, :] = 0.0
+    coef[:, n // 2] = 0.0
+    return sp.SpectralField(g, coef)
+
+
+def _zero_padded_oversample(F, factor):
+    """Reference: the half spectrum embedded in a full m x (m/2 + 1) zero array."""
+    n, m = F.grid.n, factor * F.grid.n
+    half = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+    rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+    half[rows, : n // 2 + 1] = F.coef[:, : n // 2 + 1]
+    return np.fft.irfft2(half, s=(m, m)) * factor**2
+
+
+class TestCompactColumns:
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_inverse_matches_irfft2(self, n):
+        rng = np.random.default_rng(n)
+        for width in (1, n // 3 + 1, n // 2 + 1):
+            half = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+            half[:, :width] = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+            ref = np.fft.irfft2(half, s=(n, n))
+            assert np.array_equal(sp._inverse_columns(half[:, :width], n), ref)
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_forward_matches_rfft2(self, n):
+        x = np.random.default_rng(n + 1).standard_normal((n, n))
+        ref = np.fft.rfft2(x)
+        for width in (1, n // 3 + 1, n // 2 + 1):
+            assert np.array_equal(sp._forward_columns(x, width), ref[:, :width])
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_hermitian_extend_of_leading_columns(self, n):
+        half = np.fft.rfft2(np.random.default_rng(n + 2).standard_normal((n, n)))
+        for width in range(1, n // 2 + 2):
+            padded = half.copy()
+            padded[:, width:] = 0.0
+            full = sp._hermitian_extend(padded, n)
+            assert np.array_equal(sp._hermitian_extend(half[:, :width], n), full)
+            assert sp.SpectralField(sp.TorusGrid(n), full).hermitian_defect() == 0.0
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["band8", "nyquist-free", "zero"])
+    def test_oversampled_values_match_zero_padded_reference(self, factor, kind):
+        g = sp.TorusGrid(32)
+        rng = np.random.default_rng(factor)
+        F = {
+            "band8": lambda: sp.random_band_field(g, rng, band=8),
+            "nyquist-free": lambda: _nyquist_free_field(g, rng),
+            "zero": lambda: sp.SpectralField.zeros(g),
+        }[kind]()
+        assert np.array_equal(sp.oversampled_values(F, factor), _zero_padded_oversample(F, factor))
+
+    def test_gradient_magnitude_uses_the_trace_free_identity(self, grid64):
+        w = sp.random_band_field(grid64, np.random.default_rng(8), band=20)
+        grads = sp.velocity_gradient(w)
+        assert np.array_equal(grads[3].coef, -grads[0].coef)
+        vals = [sp.oversampled_values(c, 4) for c in grads]
+        four = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
+        assert np.array_equal(sp.gradient_magnitude_sq(grads, 4), four)
+        assert float(np.sqrt(four.max())) == sp.pointwise_magnitude_sup(grads, 4)
+
+    def test_compute_record_makes_four_transforms(self, monkeypatch):
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=0.0,
+                               init_kind="random-band", band=8)
+        state = dyn.initial_state(cfg)
+        calls = []
+
+        def counting(real):
+            def wrapped(*args, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        dg.compute_record(state, cfg)
+        assert len(calls) == 4
+
+
+class TestSymbolPower:
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_repeat_call_returns_the_same_read_only_array(self, gamma):
+        first = sp.symbol_power(sp.TorusGrid(32), gamma)
+        again = sp.symbol_power(sp.TorusGrid(32), gamma)
+        assert again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[1, 1] = 0.0

@@ -19,6 +19,7 @@ any payload that is not a valid dealiased, zero-mean, Hermitian state.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -46,14 +47,26 @@ class Checkpoint:
 
 
 def write_checkpoint(path, state: MHDState, config) -> None:
+    """Write atomically: a temporary file beside `path` is filled, synced
+    and renamed over it, so a failed write leaves any previous checkpoint
+    at `path` as it was."""
     n = state.grid.n
     header = _HEADER.pack(
         MAGIC, VERSION, n, state.t, config.alpha, config.beta, config.nu, config.eta
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(state.w.coef, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(state.j.coef, dtype="<c16").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(state.w.coef, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(state.j.coef, dtype="<c16").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> Checkpoint:
@@ -73,8 +86,8 @@ def read_checkpoint(path) -> Checkpoint:
     coefs = np.frombuffer(body, dtype="<c16").astype(np.complex128)
     try:  # a bad n, non-finite coefficients, a non-zero mean mode, or aliased modes
         grid = sp.TorusGrid(n)
-        w = sp.SpectralField(grid, coefs[: n * n].reshape(n, n), dealiased=True)
-        j = sp.SpectralField(grid, coefs[n * n :].reshape(n, n), dealiased=True)
+        w = sp.SpectralField(grid, coefs[: n * n].reshape(n, n))
+        j = sp.SpectralField(grid, coefs[n * n :].reshape(n, n))
         state = MHDState(t=t, w=w, j=j)
     except ValueError as err:
         raise CheckpointFormatError(str(err)) from err

@@ -98,10 +98,13 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
     h2beta_b = _curl_sobolev_sq(j, 2.0 * config.beta)
 
     over_w = np.abs(sp.oversampled_values(w, OVERSAMPLE))
-    lp4_w = float((TWO_PI**2 * np.mean(over_w**4)) ** 0.25)
-    lp8_w = float((TWO_PI**2 * np.mean(over_w**8)) ** 0.125)
     linf_w = float(over_w.max())
-    grad_sq = sp.gradient_magnitude_sq(sp.velocity_gradient(w), OVERSAMPLE)
+    # |w|^4, then |w|^8 as its square, in place: no second power and no
+    # further array of the oversampled size.
+    w_pow = np.power(over_w, 4, out=over_w)
+    lp4_w = sp.lp_of_power_mean(np.mean(w_pow), 4)
+    lp8_w = sp.lp_of_power_mean(np.mean(np.square(w_pow, out=w_pow)), 8)
+    grad_sq = sp.gradient_magnitude_sq(w, OVERSAMPLE)
     linf_grad_u = float(np.sqrt(grad_sq.max()))
 
     rec = DiagnosticsRecord(
@@ -145,12 +148,6 @@ def energy_budget_residual(records, config) -> float:
 # --- inequality ratios -------------------------------------------------------
 
 
-def _lp_of_values(vals: np.ndarray, p: float) -> float:
-    if np.isinf(p):
-        return float(np.max(np.abs(vals)))
-    return float((TWO_PI**2 * np.mean(np.abs(vals) ** p)) ** (1.0 / p))
-
-
 def gn_ratio(f: SpectralField, beta: float) -> float:
     """||f||_inf / (||f||_2^((beta-1)/beta) ||Lambda^beta f||_2^(1/beta)),
     the sup-norm interpolation ratio; requires beta > 1, zero-mean f."""
@@ -164,16 +161,6 @@ def gn_ratio(f: SpectralField, beta: float) -> float:
     linf = sp.lp_norm(f, np.inf, OVERSAMPLE)
     hbeta = math.sqrt(sp.weighted_l2_norm_sq(f, sp.symbol_power(f.grid, beta)))
     return linf / (l2 ** ((beta - 1.0) / beta) * hbeta ** (1.0 / beta))
-
-
-def _oversample_factor_for(*bands, n: int, margin: int = 1) -> int:
-    """Smallest power-of-two factor so the fine grid resolves the stated
-    product band with room to spare."""
-    need = sum(bands) * margin
-    factor = 1
-    while factor * n // 2 - 1 < need:
-        factor *= 2
-    return max(factor, 2)
 
 
 def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) -> float:
@@ -209,15 +196,15 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     if bf + bg > n // 2 - 1:
         raise ValueError("combined bands exceed the alias-free product range")
 
-    factor = _oversample_factor_for(bf, bg, n=n, margin=3)
+    factor = sp._oversample_factor_for(bf, bg, n=n, margin=3)
     fine = sp.TorusGrid(factor * n)
     fv = sp.oversampled_values(f, factor)
     gv = sp.oversampled_values(g, factor)
     prod = sp.forward(sp.RealField(fine, fv * gv))
     lam_s_prod = sp.fractional_laplacian(prod, s / 2.0)
     lam_s_g = sp.oversampled_values(sp.fractional_laplacian(g, s / 2.0), factor)
-    left_vals = sp._inverse_array(fine, lam_s_prod.coef) - fv * lam_s_g
-    left = _lp_of_values(left_vals, p)
+    left_vals = sp.inverse(lam_s_prod).values - fv * lam_s_g
+    left = sp.lp_of_samples(left_vals, p)
     if left == 0.0:
         return 0.0
 
@@ -225,12 +212,12 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
         sp.oversampled_values(sp.partial_derivative(f, 1), factor) ** 2
         + sp.oversampled_values(sp.partial_derivative(f, 2), factor) ** 2
     )
-    term1 = _lp_of_values(grad_f, p1) * _lp_of_values(
+    term1 = sp.lp_of_samples(grad_f, p1) * sp.lp_of_samples(
         sp.oversampled_values(sp.fractional_laplacian(g, (s - 1.0) / 2.0), factor), p2
     )
-    term2 = _lp_of_values(
+    term2 = sp.lp_of_samples(
         sp.oversampled_values(sp.fractional_laplacian(f, s / 2.0), factor), p3
-    ) * _lp_of_values(gv, p4)
+    ) * sp.lp_of_samples(gv, p4)
     if term1 + term2 == 0.0:
         # grad f == 0 and Lambda^s f == 0 force f constant, where the
         # commutator vanishes identically.
@@ -249,7 +236,7 @@ def positivity_check(f: SpectralField, p: int, alpha: float):
     band = sp.active_band(f, 1e-13)
     if band == 0:
         return 0.0, 0.0
-    factor = _oversample_factor_for(band, n=n, margin=p)
+    factor = sp._oversample_factor_for(band, n=n, margin=p)
     fine = sp.TorusGrid(factor * n)
     fv = sp.oversampled_values(f, factor)
     if p > 2 and fv.min() < -1e-12 * np.abs(fv).max():
@@ -272,8 +259,8 @@ def cz_ratio(w: SpectralField, p: float) -> float:
     if p == 2:
         grad_sq = sum(sp.l2_norm_sq(c) for c in sp.velocity_gradient(w))
         return math.sqrt(grad_sq / sp.l2_norm_sq(w))
-    mags = sp.gradient_magnitude_sq(sp.velocity_gradient(w), OVERSAMPLE)
-    return _lp_of_values(np.sqrt(mags), p) / sp.lp_norm(w, p, OVERSAMPLE)
+    mags = sp.gradient_magnitude_sq(w, OVERSAMPLE)
+    return sp.lp_of_samples(np.sqrt(mags), p) / sp.lp_norm(w, p, OVERSAMPLE)
 
 
 def classify_growth(times, values) -> str:

@@ -91,13 +91,13 @@ def dyadic_block(
     partition = partition or build_partition(f.grid)
     if not homogeneous:
         if j <= -2:
-            return SpectralField.zeros(f.grid, f.dealiased)
+            return SpectralField.zeros(f.grid)
         if j == -1:
-            return SpectralField(f.grid, partition.psi * f.coef, f.dealiased)
+            return SpectralField(f.grid, partition.psi * f.coef)
     mult = partition.multiplier(j)
     if mult is None:
-        return SpectralField.zeros(f.grid, f.dealiased)
-    return SpectralField(f.grid, mult * f.coef, f.dealiased)
+        return SpectralField.zeros(f.grid)
+    return SpectralField(f.grid, mult * f.coef)
 
 
 def low_pass(f: SpectralField, j: int, partition: DyadicPartition | None = None) -> SpectralField:
@@ -114,7 +114,7 @@ def low_pass(f: SpectralField, j: int, partition: DyadicPartition | None = None)
     for l in partition.resolved():
         if l <= j - 1:
             mult += partition.phi[l - partition.j_min]
-    return SpectralField(f.grid, mult * f.coef, f.dealiased)
+    return SpectralField(f.grid, mult * f.coef)
 
 
 @dataclass(frozen=True)
@@ -232,10 +232,7 @@ def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, si
     if denom == 0.0:
         return 0.0
     n = f.grid.n
-    bf, bg = sp.active_band(f, 1e-13), sp.active_band(g, 1e-13)
-    factor = 2
-    while factor * n // 2 - 1 < bf + bg:
-        factor *= 2
+    factor = sp._oversample_factor_for(sp.active_band(f, 1e-13), sp.active_band(g, 1e-13), n=n)
     fine = sp.TorusGrid(factor * n)
     prod = sp.forward(
         sp.RealField(fine, sp.oversampled_values(f, factor) * sp.oversampled_values(g, factor))
@@ -285,8 +282,7 @@ def log_inequality_ratio(
     if not w.is_zero_mean():
         raise sp.MeanModeError("vorticity must be zero-mean")
     u1, u2 = sp.biot_savart(w)
-    grads = sp.velocity_gradient(w)
-    grad_sup = float(np.sqrt(sp.gradient_magnitude_sq(grads, 4).max()))
+    grad_sup = float(np.sqrt(sp.gradient_magnitude_sq(w, 4).max()))
     l2_u = math.sqrt(sp.l2_norm_sq(u1) + sp.l2_norm_sq(u2))
     hs_u = vector_sobolev_norm((u1, u2), s, homogeneous=False)
     linf_w = sp.lp_norm(w, np.inf, 4)
@@ -298,10 +294,7 @@ def log_inequality_ratio(
     term_mid = term_high = 0.0
     if include_split:
         for j in partition.resolved():
-            mult = partition.multiplier(j)
-            blocked = tuple(
-                SpectralField(w.grid, mult * c.coef, c.dealiased) for c in grads
-            )
+            blocked = SpectralField(w.grid, partition.multiplier(j) * w.coef)
             block_sup = float(np.sqrt(sp.gradient_magnitude_sq(blocked, 4).max()))
             if j < n_split:
                 term_mid += block_sup
@@ -369,7 +362,7 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
         k2 = k - k1
         weight = np.abs(g.kd1) ** k1 * np.abs(g.kd2) ** k2
         sup2 = max(sup2, math.sqrt(sp.weighted_l2_norm_sq(f, weight**2)))
-        deriv = SpectralField(g, (1j * g.kd1) ** k1 * (1j * g.kd2) ** k2 * f.coef, f.dealiased)
+        deriv = SpectralField(g, (1j * g.kd1) ** k1 * (1j * g.kd2) ** k2 * f.coef)
         supinf = max(supinf, sp.lp_norm(deriv, np.inf, 4))
     return BernsteinRatios(
         l2=sup2 / (scale * sp.l2_norm(f)),

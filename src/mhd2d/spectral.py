@@ -24,7 +24,18 @@ Conventions used throughout the package:
   complex pass on the leading columns only; the real pass zero-pads
   them itself.  Every skipped column is exactly zero and every 1D
   transform that runs is the one rfft2/irfft2 would run, so the results
-  are bit-identical to the full-width transforms.
+  are bit-identical to the full-width transforms.  `inverse` and
+  `oversampled_values` share this one pruned inverse.
+
+Where each invariant is checked:
+
+* Dealiasing: `SpectralField.dealiased` reads it from the coefficients
+  (no mode with max(|xi_1|, |xi_2|) > n/3); a field built with a true
+  `claim_dealiased` argument raises DealiasError if it does not hold.
+* Zero mean and dealiasing of a simulation state: `MHDState`
+  (module dynamics), for every state the solver makes or reads.
+* Hermitian symmetry: built exactly by `_hermitian_extend` on every
+  forward transform, and checked on outside input by `read_checkpoint`.
 
 All operations are pure: they never mutate their inputs, and the arrays
 wrapped by a field are frozen (writeable=False) at construction.
@@ -33,7 +44,7 @@ wrapped by a field are frozen (writeable=False) at construction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -140,31 +151,43 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a real scalar field (Hermitian-symmetric)."""
+    """Fourier coefficients of a real scalar field (Hermitian-symmetric).
+
+    The optional third argument, `claim_dealiased`, is checked and not
+    stored: if it is true and a coefficient lies outside the 2/3 band,
+    construction raises DealiasError.
+    """
 
     grid: TorusGrid
     coef: np.ndarray
-    dealiased: bool = False
+    claim_dealiased: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, claim_dealiased):
         c = np.asarray(self.coef, dtype=np.complex128)
         if c.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {c.shape}")
         if not np.isfinite(c.view(np.float64)).all():
             raise NonFiniteFieldError("spectral field contains non-finite coefficients")
         object.__setattr__(self, "coef", _frozen(c))
+        if claim_dealiased and not self.dealiased:
+            raise DealiasError("coefficients outside the 2/3 dealias band")
+
+    @property
+    def dealiased(self) -> bool:
+        """True if every coefficient outside the grid's dealias_mask is
+        exactly zero; transform round-off there counts."""
+        n, c = self.grid.n, self.grid.dealias_cutoff
+        # Rows, then columns, with max(|xi_1|, |xi_2|) > n/3.
+        return not (self.coef[c + 1 : n - c].any() or self.coef[:, c + 1 : n - c].any())
 
     @classmethod
-    def zeros(cls, grid: TorusGrid, dealiased: bool = True) -> "SpectralField":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128), dealiased)
+    def zeros(cls, grid: TorusGrid) -> "SpectralField":
+        return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
 
     def hermitian_defect(self) -> float:
         """Max |coef(-xi) - conj(coef(xi))| over the lattice."""
         flipped = self.coef[_negated_index(self.grid.n)][:, _negated_index(self.grid.n)]
         return float(np.max(np.abs(flipped - np.conj(self.coef))))
-
-    def mean_coefficient(self) -> complex:
-        return complex(self.coef[0, 0])
 
     def is_zero_mean(self, rel_tol: float = 1e-12) -> bool:
         """True if the xi=0 coefficient is zero up to round-off relative to
@@ -218,17 +241,7 @@ def forward(f: RealField) -> SpectralField:
 
 def inverse(F: SpectralField) -> RealField:
     """Spectral coefficients -> physical samples (1/n^2 normalization)."""
-    n = F.grid.n
-    return RealField(F.grid, np.fft.irfft2(F.coef[:, : n // 2 + 1], s=(n, n)))
-
-
-def _forward_array(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    return _hermitian_extend(np.fft.rfft2(values), grid.n)
-
-
-def _inverse_array(grid: TorusGrid, coef: np.ndarray) -> np.ndarray:
-    n = grid.n
-    return np.fft.irfft2(coef[:, : n // 2 + 1], s=(n, n))
+    return RealField(F.grid, oversampled_values(F, 1))
 
 
 def symbol_power(grid: TorusGrid, gamma: float) -> np.ndarray:
@@ -261,8 +274,8 @@ def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
     if gamma < 0.0 and not F.is_zero_mean():
         raise MeanModeError("negative-order multiplier needs a zero-mean field")
     if gamma == 0.0:
-        return SpectralField(F.grid, F.coef.copy(), F.dealiased)
-    return SpectralField(F.grid, symbol_power(F.grid, gamma) * F.coef, F.dealiased)
+        return SpectralField(F.grid, F.coef.copy())
+    return SpectralField(F.grid, symbol_power(F.grid, gamma) * F.coef)
 
 
 def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
@@ -273,14 +286,14 @@ def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
         k = F.grid.kd2
     else:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    return SpectralField(F.grid, 1j * k * F.coef, F.dealiased)
+    return SpectralField(F.grid, 1j * k * F.coef)
 
 
 def perp_gradient(psi: SpectralField):
     """(-d2 psi, d1 psi), the rotated gradient of a streamfunction."""
     d1 = partial_derivative(psi, 1)
     d2 = partial_derivative(psi, 2)
-    return SpectralField(psi.grid, -d2.coef, psi.dealiased), d1
+    return SpectralField(psi.grid, -d2.coef), d1
 
 
 def biot_savart(w: SpectralField):
@@ -294,7 +307,7 @@ def biot_savart(w: SpectralField):
     # inv_ksq leaves u_hat(0) = 0: the zero-mean-velocity gauge.
     u1 = 1j * g.kd2 * g.inv_ksq * w.coef
     u2 = -1j * g.kd1 * g.inv_ksq * w.coef
-    return SpectralField(g, u1, w.dealiased), SpectralField(g, u2, w.dealiased)
+    return SpectralField(g, u1), SpectralField(g, u2)
 
 
 def velocity_gradient(w: SpectralField):
@@ -303,10 +316,10 @@ def velocity_gradient(w: SpectralField):
     g = w.grid
     q = g.inv_ksq * w.coef
     return (
-        SpectralField(g, -g.k1 * g.k2 * q, w.dealiased),
-        SpectralField(g, -g.k2 * g.k2 * q, w.dealiased),
-        SpectralField(g, g.k1 * g.k1 * q, w.dealiased),
-        SpectralField(g, g.k1 * g.k2 * q, w.dealiased),
+        SpectralField(g, -g.k1 * g.k2 * q),
+        SpectralField(g, -g.k2 * g.k2 * q),
+        SpectralField(g, g.k1 * g.k1 * q),
+        SpectralField(g, g.k1 * g.k2 * q),
     )
 
 
@@ -315,26 +328,26 @@ def curl(v1: SpectralField, v2: SpectralField) -> SpectralField:
     _check_same_grid(v1, v2)
     g = v1.grid
     coef = 1j * (g.kd1 * v2.coef - g.kd2 * v1.coef)
-    return SpectralField(g, coef, v1.dealiased and v2.dealiased)
+    return SpectralField(g, coef)
 
 
 def divergence(v1: SpectralField, v2: SpectralField) -> SpectralField:
     _check_same_grid(v1, v2)
     g = v1.grid
     coef = 1j * (g.kd1 * v1.coef + g.kd2 * v2.coef)
-    return SpectralField(g, coef, v1.dealiased and v2.dealiased)
+    return SpectralField(g, coef)
 
 
 def dealias(F: SpectralField) -> SpectralField:
     """Zero every mode with max(|xi_1|, |xi_2|) > n/3 (the 2/3 rule)."""
-    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coef, 0.0), True)
+    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coef, 0.0))
 
 
 def zero_mean(F: SpectralField) -> SpectralField:
     """Copy with the xi=0 coefficient set exactly to zero."""
     coef = F.coef.copy()
     coef[0, 0] = 0.0
-    return SpectralField(F.grid, coef, F.dealiased)
+    return SpectralField(F.grid, coef)
 
 
 # --- norms -----------------------------------------------------------------
@@ -367,15 +380,14 @@ def active_band(F: SpectralField, rel_tol: float = 0.0) -> int:
 
 
 def oversampled_values(F: SpectralField, factor: int = 4) -> np.ndarray:
-    """Evaluate the trigonometric polynomial on a factor-times finer grid.
+    """Evaluate the trigonometric polynomial on a factor-times finer grid;
+    factor 1 gives the collocation samples of `inverse`.
 
-    Requires the spectrum to be Nyquist-free (max component <= n/2 - 1),
-    which every dealiased field satisfies.
+    For factor > 1 the spectrum must be Nyquist-free (max component
+    <= n/2 - 1), which every dealiased field satisfies.
     """
     n = F.grid.n
-    if factor == 1:
-        return _inverse_array(F.grid, F.coef)
-    if active_band(F, rel_tol=1e-13) > n // 2 - 1:
+    if factor > 1 and active_band(F, rel_tol=1e-13) > n // 2 - 1:
         raise ValueError("field carries Nyquist content; cannot oversample exactly")
     m = factor * n
     # Only the columns up to the last nonzero one enter the complex pass.
@@ -387,27 +399,54 @@ def oversampled_values(F: SpectralField, factor: int = 4) -> np.ndarray:
     return _inverse_columns(block, m) * factor**2
 
 
+def _oversample_factor_for(*bands, n: int, margin: int = 1) -> int:
+    """Smallest power-of-two factor >= 2 so the fine grid resolves the
+    stated product band with room to spare."""
+    need = sum(bands) * margin
+    factor = 1
+    while factor * n // 2 - 1 < need:
+        factor *= 2
+    return max(factor, 2)
+
+
+def lp_of_power_mean(mean: float, p: float) -> float:
+    """L^p norm over [0, 2pi)^2 from the mean of |f|^p over the samples
+    of a uniform grid."""
+    return float((TWO_PI**2 * mean) ** (1.0 / p))
+
+
+def lp_of_samples(vals: np.ndarray, p: float) -> float:
+    """L^p norm over [0, 2pi)^2 of a function from its samples on a
+    uniform grid; the largest |sample| for p = inf."""
+    if np.isinf(p):
+        return float(np.max(np.abs(vals)))
+    return lp_of_power_mean(np.mean(np.abs(vals) ** p), p)
+
+
 def lp_norm(F: SpectralField, p: float, oversample: int = 4) -> float:
     """L^p norm over [0, 2pi)^2; p=2 by Parseval, otherwise the field is
     evaluated on an oversampled physical grid (grid max for p = inf)."""
     if p == 2:
         return l2_norm(F)
-    vals = np.abs(oversampled_values(F, oversample))
-    if np.isinf(p):
-        return float(vals.max())
-    return float((TWO_PI**2 * np.mean(vals**p)) ** (1.0 / p))
+    return lp_of_samples(oversampled_values(F, oversample), p)
 
 
-def gradient_magnitude_sq(grads, oversample: int = 4) -> np.ndarray:
-    """|grad u|^2 on the oversampled grid from the four components
-    (d1u1, d2u1, d1u2, d2u2) of `velocity_gradient` (or a common real
-    multiplier of them).  Three transforms: d2u2 = -d1u1 holds exactly,
-    so its square is that of d1u1, and the four squares are summed in
-    the order of `pointwise_magnitude_sup`, with the same bits.  One
-    component is held at a time, which keeps the peak memory down."""
-    sq11 = oversampled_values(grads[0], oversample) ** 2
-    acc = sq11 + oversampled_values(grads[1], oversample) ** 2
-    acc += oversampled_values(grads[2], oversample) ** 2
+def gradient_magnitude_sq(w: SpectralField, oversample: int = 4) -> np.ndarray:
+    """|grad u|^2 on the oversampled grid for the divergence-free u with
+    curl u = w.  Three transforms, of d1u1, d2u1 and d1u2 formed as in
+    `velocity_gradient`: d2u2 = -d1u1 holds exactly, so its square is
+    that of d1u1, and the four squares are summed in the order of
+    `pointwise_magnitude_sup`, with the same bits.  One component is held
+    at a time, which keeps the peak memory down."""
+    g = w.grid
+    q = g.inv_ksq * w.coef
+
+    def squared(coef):
+        return oversampled_values(SpectralField(g, coef), oversample) ** 2
+
+    sq11 = squared(-g.k1 * g.k2 * q)
+    acc = sq11 + squared(-g.k2 * g.k2 * q)
+    acc += squared(g.k1 * g.k1 * q)
     acc += sq11
     return acc
 
@@ -435,13 +474,11 @@ def random_band_field(
     if band < 1 or band > grid.n // 2 - 1:
         raise ValueError(f"band must lie in [1, n/2-1], got {band}")
     noise = rng.standard_normal((grid.n, grid.n))
-    coef = _forward_array(grid, noise)
     keep = grid.kmag <= band
     if zero_mean:
         keep &= grid.ksq > 0
-    coef = np.where(keep, coef, 0.0)
-    F = SpectralField(grid, coef, dealiased=band <= grid.dealias_cutoff)
-    nrm = l2_norm(F)
+    coef = np.where(keep, forward(RealField(grid, noise)).coef, 0.0)
+    nrm = l2_norm(SpectralField(grid, coef))
     if amplitude == 0.0 or nrm == 0.0:
         return SpectralField.zeros(grid)
-    return SpectralField(grid, coef * (amplitude / nrm), F.dealiased)
+    return SpectralField(grid, coef * (amplitude / nrm))

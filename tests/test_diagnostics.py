@@ -1,0 +1,113 @@
+"""Closed-form tests for the inequality ratios, the growth and regime tags,
+and the norms of monitored quantities."""
+
+import math
+
+import numpy as np
+import pytest
+
+from mhd2d import diagnostics as dg
+from mhd2d import dynamics as dyn
+from mhd2d import regimes
+from mhd2d import spectral as sp
+
+
+def modes(g, *terms):
+    """Real field sum of a * cos(k1 x1 + k2 x2) over terms (a, k1, k2),
+    built from exact coefficients."""
+    coef = np.zeros((g.n, g.n), dtype=np.complex128)
+    for a, k1, k2 in terms:
+        if (k1, k2) == (0, 0):
+            coef[0, 0] += a * g.n**2
+        else:
+            coef[k1, k2] += 0.5 * a * g.n**2
+            coef[-k1, -k2] += 0.5 * a * g.n**2
+    return sp.SpectralField(g, coef)
+
+
+@pytest.fixture(scope="module")
+def grid64():
+    return sp.TorusGrid(64)
+
+
+class TestClassifyRegime:
+    @pytest.mark.parametrize(
+        "alpha, beta, nu, eta, tag",
+        [
+            # alpha + 2 beta = 3 is excluded from theorem 1.2, just above it is inside.
+            (0.25, 1.375, 1.0, 1.0, regimes.TAG_OUTSIDE),
+            (0.25, 1.4, 1.0, 1.0, regimes.TAG_THEOREM_12),
+            # beta = 5/4 is excluded (alpha < 1/2 and alpha + 2 beta > 3 already
+            # force beta > 5/4), just above it is inside.
+            (0.49, 1.25, 1.0, 1.0, regimes.TAG_OUTSIDE),
+            (0.49, 1.26, 1.0, 1.0, regimes.TAG_THEOREM_12),
+            # beta = 3/2 is the last beta of theorem 1.2 and not yet theorem 1.1.
+            (0.1, 1.5, 1.0, 1.0, regimes.TAG_THEOREM_12),
+            (0.1, 1.51, 1.0, 1.0, regimes.TAG_OUTSIDE),
+            (0.0, 1.5, 0.0, 1.0, regimes.TAG_OUTSIDE),
+            (0.0, 1.51, 0.0, 1.0, regimes.TAG_THEOREM_11),
+            # alpha = 1/2 leaves theorem 1.2 for theorem 5.1.
+            (0.49, 1.4, 1.0, 1.0, regimes.TAG_THEOREM_12),
+            (0.5, 1.4, 1.0, 1.0, regimes.TAG_THEOREM_51),
+            # nu = 0 with alpha != 0 fits no theorem.
+            (0.3, 2.0, 0.0, 1.0, regimes.TAG_OUTSIDE),
+        ],
+    )
+    def test_boundaries(self, alpha, beta, nu, eta, tag):
+        assert regimes.classify_regime(alpha, beta, nu, eta) == tag
+
+
+class TestRatios:
+    def test_gn_ratio_of_a_single_mode(self, grid64):
+        # ||f||_inf = 1, ||f||_2 = pi sqrt 2, ||Lambda^beta f||_2 = 5^beta pi sqrt 2,
+        # so the ratio is 1 / (5 pi sqrt 2) for every beta.
+        f = modes(grid64, (1.0, 3, 4))
+        for beta in (1.5, 2.0):
+            assert dg.gn_ratio(f, beta) == pytest.approx(1.0 / (5.0 * math.pi * math.sqrt(2.0)), rel=1e-12)
+
+    def test_cz_ratio_is_one_at_p_two(self, grid64):
+        w = sp.random_band_field(grid64, np.random.default_rng(3), band=12)
+        assert dg.cz_ratio(w, 2) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_cz_ratio_of_a_shear_is_one(self, grid64, p):
+        # w = cos(3 x1) gives u = (0, sin(3 x1)/3): |grad u| = |d1 u2| = |w|.
+        assert dg.cz_ratio(modes(grid64, (1.0, 3, 0)), p) == pytest.approx(1.0, rel=1e-12)
+
+    def test_positivity_is_an_equality_at_p_two(self, grid64):
+        # f = 2 + cos x1 + cos(2 x2)/2, alpha = 1/2: both sides are
+        # 2 ||Lambda^(1/2) f||^2 = 2 (1 * 2 pi^2 + 2 * pi^2 / 2) = 6 pi^2.
+        f = modes(grid64, (2.0, 0, 0), (1.0, 1, 0), (0.5, 0, 2))
+        lhs, rhs = dg.positivity_check(f, 2, 0.5)
+        assert lhs == pytest.approx(6.0 * math.pi**2, rel=1e-12)
+        assert rhs == pytest.approx(6.0 * math.pi**2, rel=1e-12)
+
+    @pytest.mark.parametrize("p, alpha", [(4, 0.5), (4, 1.0), (6, 0.3)])
+    def test_positivity_lhs_below_rhs(self, grid64, p, alpha):
+        f = modes(grid64, (2.0, 0, 0), (1.0, 1, 0), (0.5, 0, 2), (0.25, 2, 3))
+        lhs, rhs = dg.positivity_check(f, p, alpha)
+        assert 0.0 < lhs <= rhs
+
+
+class TestMonitoredNorms:
+    def test_hgamma_b_norm_of_a_single_mode(self, grid64):
+        # j = cos(3 x1 + 4 x2): ||Lambda^gamma b|| = 5^(gamma - 1) ||j||_2.
+        state = dyn.MHDState(0.0, sp.SpectralField.zeros(grid64), modes(grid64, (1.0, 3, 4)))
+        expect = 5.0 ** (1.7 - 1.0) * math.pi * math.sqrt(2.0)
+        assert dg.hgamma_b_norm(state, 1.7) == pytest.approx(expect, rel=1e-12)
+
+    def test_classify_growth(self):
+        t = np.arange(11.0)
+        assert dg.classify_growth(t, np.ones(11)) == "bounded"
+        assert dg.classify_growth(t, np.exp(-t)) == "bounded"
+        assert dg.classify_growth(t, 2.0**t) == "growing"
+
+    def test_record_lp_norms_match_lp_norm(self):
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0,
+                               init_kind="random-band", band=12, amplitude=2.0)
+        state = dyn.initial_state(cfg)
+        rec = dg.compute_record(state, cfg)
+        assert rec.lp4_w == sp.lp_norm(state.w, 4)
+        assert rec.linf_w == sp.lp_norm(state.w, np.inf)
+        # |w|^8 is the square of |w|^4 in the record, a power of 8 in lp_norm.
+        assert rec.lp8_w == pytest.approx(sp.lp_norm(state.w, 8), rel=1e-12)

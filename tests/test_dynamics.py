@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -443,3 +444,25 @@ class TestCheckpoint:
 
         with pytest.raises(ckpt.CheckpointFormatError, match="dealias"):
             ckpt.read_checkpoint(self._corrupt(tmp_path, edit))
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "state.mhd2"
+        cfg = ideal_config(n=32)
+        old = random_state(n=32, band=9, seed=5)
+        ckpt.write_checkpoint(path, old, cfg)
+        before = path.read_bytes()
+
+        class Interrupted:
+            @property
+            def coef(self):
+                raise RuntimeError("write interrupted")
+
+        # The header and w are written, then reading j raises.
+        new = random_state(n=32, band=9, seed=6)
+        partial = types.SimpleNamespace(grid=new.grid, t=new.t, w=new.w, j=Interrupted())
+        with pytest.raises(RuntimeError, match="write interrupted"):
+            ckpt.write_checkpoint(path, partial, cfg)
+
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.mhd2"]
+        assert np.array_equal(ckpt.read_checkpoint(path).state.w.coef, old.w.coef)

@@ -1,0 +1,38 @@
+"""What the benchmark in perfbench/ calls of mhd2d still exists and works.
+
+perfbench/ is put on sys.path and its modules are imported directly;
+run.py is not imported, because it sets environment variables.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+from mhd2d import dynamics  # noqa: E402
+
+
+def test_traced_targets_resolve():
+    missing = [f"{m.__name__}.{a}" for m, a, _ in spans.TARGETS if not callable(getattr(m, a, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", [w.name for w in workloads.WORKLOADS.values() if w.kind == "run"])
+def test_references_match_the_workload_spec(name):
+    wl = workloads.WORKLOADS[name]
+    entries = workloads.load_references(wl)
+    assert sorted(entries) == sorted(str(k) for k in range(wl.pool))
+
+
+def test_perturbed_orszag_tang_initial_state_steps():
+    # initial() builds its fields through SpectralField(grid, coef, True).
+    wl = workloads.WORKLOADS["ot256-sparse"]
+    state = wl.initial(0, n=32)
+    out = dynamics.step(state, wl.config(n=32))
+    assert out.t == pytest.approx(wl.dt)
+    assert out.w.dealiased and out.j.dealiased

@@ -1,5 +1,7 @@
 """Tests for the torus grid, transforms, and spectral operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +213,31 @@ class TestDealias:
         assert np.array_equal(out.coef, F.coef)
         assert out.dealiased
 
+    def test_dealiased_is_read_from_the_coefficients(self, grid64):
+        # cos(16 x1) from exact samples 1, 0, -1, 0: the transform is exact.
+        exact = np.tile(np.array([1.0, 0.0, -1.0, 0.0] * 16)[:, None], (1, 64))
+        assert sp.forward(sp.RealField(grid64, exact)).dealiased
+        # The test is exact: round-off outside the band counts.
+        x1, _ = grid64.coordinates()
+        assert not sp.forward(sp.RealField(grid64, np.cos(3 * x1))).dealiased
+        noise = np.random.default_rng(5).standard_normal((64, 64))
+        full_band = sp.forward(sp.RealField(grid64, noise))
+        assert not full_band.dealiased
+        assert sp.dealias(full_band).dealiased
+        assert [f.name for f in dataclasses.fields(sp.SpectralField)] == ["grid", "coef"]
+
+    def test_false_dealiased_claim_raises(self, grid64):
+        def pair(col):
+            coef = np.zeros((64, 64), dtype=np.complex128)
+            coef[0, col] = coef[0, -col] = 1.0
+            return coef
+
+        c = grid64.dealias_cutoff
+        assert sp.SpectralField(grid64, pair(c), True).dealiased
+        with pytest.raises(sp.DealiasError):
+            sp.SpectralField(grid64, pair(c + 1), True)
+        assert not sp.SpectralField(grid64, pair(c + 1)).dealiased
+
     def test_high_single_mode_zeroed(self, grid64):
         coef = np.zeros((64, 64), dtype=np.complex128)
         coef[31, 0] = 1.0
@@ -332,7 +359,7 @@ class TestCompactColumns:
         assert np.array_equal(grads[3].coef, -grads[0].coef)
         vals = [sp.oversampled_values(c, 4) for c in grads]
         four = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
-        assert np.array_equal(sp.gradient_magnitude_sq(grads, 4), four)
+        assert np.array_equal(sp.gradient_magnitude_sq(w, 4), four)
         assert float(np.sqrt(four.max())) == sp.pointwise_magnitude_sup(grads, 4)
 
     def test_compute_record_makes_four_transforms(self, monkeypatch):

@@ -1,8 +1,9 @@
 """Monitored norms, energy budgets, and inequality-ratio diagnostics.
 
 L^2-type quantities are evaluated spectrally (Parseval); L^p for p != 2
-and sup norms are evaluated on a 4x oversampled physical grid because the
-collocation max of a band-limited field underestimates its true sup.
+and sup norms are evaluated on the physical grid refined by
+`spectral.OVERSAMPLE`, because the collocation max of a band-limited field
+underestimates its true sup.
 """
 
 from __future__ import annotations
@@ -12,30 +13,8 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from . import regimes
 from . import spectral as sp
 from .spectral import TWO_PI, NonFiniteFieldError, SpectralField
-
-OVERSAMPLE = 4
-
-RECORD_COLUMNS = (
-    "t",
-    "energy_u",
-    "energy_b",
-    "X",
-    "diss_u",
-    "diff_b",
-    "hbeta_b",
-    "h2beta_b",
-    "lp2_w",
-    "lp4_w",
-    "lp8_w",
-    "linf_w",
-    "linf_grad_u",
-    "int_diss_u",
-    "int_diff_b",
-    "int_hbeta_j",
-)
 
 
 @dataclass(frozen=True)
@@ -63,7 +42,7 @@ class DiagnosticsRecord:
         return tuple(getattr(self, name) for name in RECORD_COLUMNS)
 
 
-assert tuple(f.name for f in dc_fields(DiagnosticsRecord)) == RECORD_COLUMNS
+RECORD_COLUMNS = tuple(f.name for f in dc_fields(DiagnosticsRecord))
 
 
 def _curl_sobolev_sq(F: SpectralField, s: float) -> float:
@@ -97,14 +76,14 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
     diss_u, diff_b, hbeta_j = budget_integrand(state, config)
     h2beta_b = _curl_sobolev_sq(j, 2.0 * config.beta)
 
-    over_w = np.abs(sp.oversampled_values(w, OVERSAMPLE))
+    over_w = np.abs(sp.oversampled_values(w, sp.OVERSAMPLE))
     linf_w = float(over_w.max())
     # |w|^4, then |w|^8 as its square, in place: no second power and no
     # further array of the oversampled size.
     w_pow = np.power(over_w, 4, out=over_w)
     lp4_w = sp.lp_of_power_mean(np.mean(w_pow), 4)
     lp8_w = sp.lp_of_power_mean(np.mean(np.square(w_pow, out=w_pow)), 8)
-    grad_sq = sp.gradient_magnitude_sq(w, OVERSAMPLE)
+    grad_sq = sp.gradient_magnitude_sq(w)
     linf_grad_u = float(np.sqrt(grad_sq.max()))
 
     rec = DiagnosticsRecord(
@@ -158,7 +137,7 @@ def gn_ratio(f: SpectralField, beta: float) -> float:
         raise ValueError("zero input")
     if not f.is_zero_mean():
         raise sp.MeanModeError("ratio requires a zero-mean field")
-    linf = sp.lp_norm(f, np.inf, OVERSAMPLE)
+    linf = sp.lp_norm(f, np.inf)
     hbeta = math.sqrt(sp.weighted_l2_norm_sq(f, sp.symbol_power(f.grid, beta)))
     return linf / (l2 ** ((beta - 1.0) / beta) * hbeta ** (1.0 / beta))
 
@@ -192,7 +171,7 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
         p = 1.0 / ip
     sp._check_same_grid(f, g)
     n = f.grid.n
-    bf, bg = sp.active_band(f, 1e-13), sp.active_band(g, 1e-13)
+    bf, bg = sp.active_band(f), sp.active_band(g)
     if bf + bg > n // 2 - 1:
         raise ValueError("combined bands exceed the alias-free product range")
 
@@ -233,7 +212,7 @@ def positivity_check(f: SpectralField, p: int, alpha: float):
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     n = f.grid.n
-    band = sp.active_band(f, 1e-13)
+    band = sp.active_band(f)
     if band == 0:
         return 0.0, 0.0
     factor = sp._oversample_factor_for(band, n=n, margin=p)
@@ -259,8 +238,8 @@ def cz_ratio(w: SpectralField, p: float) -> float:
     if p == 2:
         grad_sq = sum(sp.l2_norm_sq(c) for c in sp.velocity_gradient(w))
         return math.sqrt(grad_sq / sp.l2_norm_sq(w))
-    mags = sp.gradient_magnitude_sq(w, OVERSAMPLE)
-    return sp.lp_of_samples(np.sqrt(mags), p) / sp.lp_norm(w, p, OVERSAMPLE)
+    mags = sp.gradient_magnitude_sq(w)
+    return sp.lp_of_samples(np.sqrt(mags), p) / sp.lp_norm(w, p)
 
 
 def classify_growth(times, values) -> str:
@@ -277,36 +256,6 @@ def classify_growth(times, values) -> str:
     if top == 0.0:
         return "growing" if last.max() > 0 else "bounded"
     return "growing" if last.max() > 2.0 * top else "bounded"
-
-
-def regime_report(records, config, sup_hgamma_b=None) -> dict:
-    """Per-run summary: sup of each monitored quantity, where it was
-    attained, growth classification, and the diffusion-window check for
-    theorem-1.2-tagged runs."""
-    tag = regimes.classify_regime(config.alpha, config.beta, config.nu, config.eta)
-    times = [r.t for r in records]
-    report = {"regime": tag, "sup": {}, "sup_attained_at": {}, "growth": {}}
-    for name in ("X", "linf_w", "hbeta_b", "energy_u", "energy_b"):
-        vals = [getattr(r, name) for r in records]
-        idx = int(np.argmax(vals))
-        report["sup"][name] = float(vals[idx])
-        report["sup_attained_at"][name] = float(times[idx])
-        report["growth"][name] = classify_growth(times, vals)
-    if len(records) >= 2:
-        report["budget_residual"] = energy_budget_residual(records, config)
-    else:
-        report["budget_residual"] = None
-    if tag == regimes.TAG_THEOREM_12:
-        gamma = regimes.theorem12_gamma(config.alpha, config.beta)
-        report["theorem_1_2"] = {
-            "gamma": gamma,
-            "gamma_plus_beta": gamma + config.beta,
-            "exponent_condition_met": gamma + config.beta > 3.0,
-            "sup_hgamma_b": sup_hgamma_b,
-        }
-    else:
-        report["theorem_1_2"] = None
-    return report
 
 
 def hgamma_b_norm(state, gamma: float) -> float:

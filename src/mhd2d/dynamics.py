@@ -56,7 +56,8 @@ class SimulationAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Exponents, coefficients, resolution, and stepping parameters."""
+    """Exponents, coefficients, resolution, and stepping parameters: what
+    `step` and `run` read.  Initial data is `make_initial`'s."""
 
     alpha: float
     beta: float
@@ -66,11 +67,6 @@ class SolverConfig:
     dt: float = 2.5e-4
     t_end: float = 1.0
     output_every: int = 40
-    integrator: str = INTEGRATOR_TAG
-    seed: int = 0
-    init_kind: str = "orszag-tang"
-    amplitude: float = 1.0
-    band: int = 8
 
     def __post_init__(self):
         if self.nu < 0 or self.eta < 0:
@@ -87,15 +83,7 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative")
         if self.output_every < 1:
             raise ValueError("output_every must be a positive integer")
-        if self.integrator != INTEGRATOR_TAG:
-            raise ValueError(f"unknown integrator {self.integrator!r}; only {INTEGRATOR_TAG!r}")
-        if self.init_kind not in INIT_KINDS:
-            raise ValueError(f"init_kind must be one of {INIT_KINDS}, got {self.init_kind!r}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
         TorusGrid(self.n)  # validates the resolution
-        if self.band < 1 or self.band > self.n // 3:
-            raise ValueError(f"band must lie in [1, n/3], got {self.band}")
 
     @property
     def ideal_flags(self):
@@ -124,11 +112,6 @@ class MHDState:
         return self.w.grid
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_grid(n: int) -> TorusGrid:
-    return TorusGrid(n)
-
-
 def _block(arr, n):
     """The n//3 + 1 leading half-spectrum columns, the compact block."""
     return arr[:, : n // 3 + 1]
@@ -138,7 +121,7 @@ def _block(arr, n):
 def _half_multipliers(n: int):
     """Compact-block Biot-Savart (i xi2, -i xi1)/|xi|^2 and the 2/3-masked
     -i xi1, -i xi2, |xi|^2; all vanish at xi = 0, so means stay exactly 0."""
-    g = _cached_grid(n)
+    g = TorusGrid(n)
     kd1, kd2, inv = _block(g.kd1, n), _block(g.kd2, n), _block(g.inv_ksq, n)
     ksq, mask = _block(g.ksq, n), _block(g.dealias_mask, n)
     ms = (1j * kd2 * inv, -1j * kd1 * inv, -1j * kd1 * mask, -1j * kd2 * mask, ksq * mask)
@@ -151,9 +134,9 @@ def _velocities(n: int, wc, jc):
     return [sp._inverse_columns(m * c, n) for c in (wc, jc) for m in (bs1, bs2)]
 
 
-def _dt_bound(grid: TorusGrid, u1, u2, b1, b2, safety: float = 0.5) -> float:
+def _dt_bound(grid: TorusGrid, u1, u2, b1, b2) -> float:
     vmax = np.sqrt(max((u1 * u1 + u2 * u2).max(), (b1 * b1 + b2 * b2).max()))
-    return np.inf if vmax == 0.0 else safety * grid.spacing / vmax
+    return np.inf if vmax == 0.0 else 0.5 * grid.spacing / vmax
 
 
 def _nonlinear_half(grid: TorusGrid, wc, jc, t: float, h: float | None = None):
@@ -200,7 +183,7 @@ def vorticity_rhs(state: MHDState):
 def _integrating_factors(n, dt, nu, alpha, eta, beta):
     """Compact-block exp(-nu|xi|^(2a) dt/2), its square, and the same for
     (eta, beta); exact linear flow over one step and half step."""
-    grid = _cached_grid(n)
+    grid = TorusGrid(n)
     lam_w = nu * _block(sp.symbol_power(grid, alpha), n)
     lam_j = eta * _block(sp.symbol_power(grid, beta), n)
     return (
@@ -249,12 +232,12 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
     return out
 
 
-def advective_dt_bound(state: MHDState, safety: float = 0.5) -> float:
-    """safety * (grid spacing) / max(||u||_inf, ||b||_inf) on the
-    collocation grid; inf when the state is at rest."""
+def advective_dt_bound(state: MHDState) -> float:
+    """0.5 * (grid spacing) / max(||u||_inf, ||b||_inf) on the collocation
+    grid, the bound `step` checks; inf when the state is at rest."""
     n = state.grid.n
     u1, u2, b1, b2 = _velocities(n, _block(state.w.coef, n), _block(state.j.coef, n))
-    return _dt_bound(state.grid, u1, u2, b1, b2, safety)
+    return _dt_bound(state.grid, u1, u2, b1, b2)
 
 
 def run(config: SolverConfig, init: MHDState):
@@ -307,6 +290,8 @@ def make_initial(
     """
     if kind not in INIT_KINDS:
         raise ValueError(f"kind must be one of {INIT_KINDS}, got {kind!r}")
+    if amplitude < 0:
+        raise ValueError("amplitude must be nonnegative")
     if band > grid.dealias_cutoff:
         raise ValueError(f"band {band} exceeds the dealias cutoff {grid.dealias_cutoff}")
     n = grid.n
@@ -325,12 +310,6 @@ def make_initial(
         w = sp.random_band_field(grid, rng, band, amplitude)
         j = sp.random_band_field(grid, rng, band, amplitude)
     return MHDState(t=0.0, w=w, j=j)
-
-
-def initial_state(config: SolverConfig) -> MHDState:
-    return make_initial(
-        _cached_grid(config.n), config.init_kind, config.seed, config.amplitude, config.band
-    )
 
 
 def rescale(state: MHDState, lam: int, gamma: float, tail_tol: float = 0.0) -> MHDState:

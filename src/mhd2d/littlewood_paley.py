@@ -76,19 +76,18 @@ class DyadicPartition:
 
 @lru_cache(maxsize=16)
 def build_partition(grid: TorusGrid) -> DyadicPartition:
+    """The cached partition of a grid; every function below uses it."""
     return DyadicPartition(grid)
 
 
-def dyadic_block(
-    f: SpectralField, j: int, partition: DyadicPartition | None = None, homogeneous: bool = True
-) -> SpectralField:
+def dyadic_block(f: SpectralField, j: int, homogeneous: bool = True) -> SpectralField:
     """Frequency-localized piece of f.
 
     Homogeneous: multiply by Phi_j (zero field when A_j misses the
     lattice).  Inhomogeneous: zero for j <= -2, the mean mode for j = -1,
     Phi_j for j >= 0.
     """
-    partition = partition or build_partition(f.grid)
+    partition = build_partition(f.grid)
     if not homogeneous:
         if j <= -2:
             return SpectralField.zeros(f.grid)
@@ -100,7 +99,7 @@ def dyadic_block(
     return SpectralField(f.grid, mult * f.coef)
 
 
-def low_pass(f: SpectralField, j: int, partition: DyadicPartition | None = None) -> SpectralField:
+def low_pass(f: SpectralField, j: int) -> SpectralField:
     """Running sum S_j f = sum_{l <= j-1} block_l f (homogeneous family).
 
     This is the convention of Bahouri, Chemin and Danchin, Fourier Analysis
@@ -109,7 +108,7 @@ def low_pass(f: SpectralField, j: int, partition: DyadicPartition | None = None)
     touches the mean mode, so S_j f = 0 for j <= 0 and S_j f = f - mean(f)
     for j > j_max.  The S_{j-1} of `bony_decompose` is low_pass(f, j-1).
     """
-    partition = partition or build_partition(f.grid)
+    partition = build_partition(f.grid)
     mult = np.zeros((f.grid.n, f.grid.n))
     for l in partition.resolved():
         if l <= j - 1:
@@ -134,17 +133,15 @@ class BesovSpec:
                 raise ValueError(f"{name} must lie in [1, inf], got {v}")
 
 
-def besov_norm(
-    f: SpectralField, spec: BesovSpec, partition: DyadicPartition | None = None
-) -> float:
+def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
     """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}."""
-    partition = partition or build_partition(f.grid)
+    partition = build_partition(f.grid)
     if spec.homogeneous and not f.is_zero_mean():
         raise sp.MeanModeError("homogeneous Besov norm needs a zero-mean field")
     j_lo = partition.j_min if spec.homogeneous else -1
     terms = []
     for j in range(j_lo, partition.j_max + 1):
-        block = dyadic_block(f, j, partition, homogeneous=spec.homogeneous)
+        block = dyadic_block(f, j, homogeneous=spec.homogeneous)
         terms.append(2.0 ** (j * spec.s) * sp.lp_norm(block, spec.p))
     terms = np.asarray(terms)
     if np.isinf(spec.q):
@@ -172,7 +169,7 @@ def vector_sobolev_norm(fields, s: float, homogeneous: bool = True) -> float:
 # --- paraproducts ------------------------------------------------------------
 
 
-def bony_decompose(f: SpectralField, g: SpectralField, partition: DyadicPartition | None = None):
+def bony_decompose(f: SpectralField, g: SpectralField):
     """Low-high, high-high, and high-low parts of the product fg:
 
         fg = T(f,g) + R(f,g) + T(g,f)
@@ -184,14 +181,13 @@ def bony_decompose(f: SpectralField, g: SpectralField, partition: DyadicPartitio
     sum) are alias-free; the returned RealFields live on that padded grid.
     """
     sp._check_same_grid(f, g)
-    partition = partition or build_partition(f.grid)
     for name, F in (("f", f), ("g", g)):
         if not F.is_zero_mean():
             raise sp.MeanModeError(f"{name} must be zero-mean for the paraproduct split")
     fine = sp.TorusGrid(2 * f.grid.n)
-    js = list(partition.resolved())
-    f_blocks = [sp.oversampled_values(dyadic_block(f, j, partition), 2) for j in js]
-    g_blocks = [sp.oversampled_values(dyadic_block(g, j, partition), 2) for j in js]
+    js = list(build_partition(f.grid).resolved())
+    f_blocks = [sp.oversampled_values(dyadic_block(f, j), 2) for j in js]
+    g_blocks = [sp.oversampled_values(dyadic_block(g, j), 2) for j in js]
 
     def paraproduct(lows, highs):
         acc = np.zeros_like(lows[0])
@@ -232,7 +228,7 @@ def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, si
     if denom == 0.0:
         return 0.0
     n = f.grid.n
-    factor = sp._oversample_factor_for(sp.active_band(f, 1e-13), sp.active_band(g, 1e-13), n=n)
+    factor = sp._oversample_factor_for(sp.active_band(f), sp.active_band(g), n=n)
     fine = sp.TorusGrid(factor * n)
     prod = sp.forward(
         sp.RealField(fine, sp.oversampled_values(f, factor) * sp.oversampled_values(g, factor))
@@ -261,12 +257,7 @@ class GradientLogReport:
     high_tail_bound: float
 
 
-def log_inequality_ratio(
-    w: SpectralField,
-    s: float,
-    partition: DyadicPartition | None = None,
-    include_split: bool = True,
-) -> GradientLogReport:
+def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     """||grad u||_inf against ||u||_2 + ||w||_inf log2(2 + ||u||_{H^s}) + 1
     for the divergence-free u with curl u = w; requires s > 2.
 
@@ -278,28 +269,27 @@ def log_inequality_ratio(
     """
     if s <= 2.0:
         raise ValueError(f"regularity s must exceed 2, got {s}")
-    partition = partition or build_partition(w.grid)
+    partition = build_partition(w.grid)
     if not w.is_zero_mean():
         raise sp.MeanModeError("vorticity must be zero-mean")
     u1, u2 = sp.biot_savart(w)
-    grad_sup = float(np.sqrt(sp.gradient_magnitude_sq(w, 4).max()))
+    grad_sup = float(np.sqrt(sp.gradient_magnitude_sq(w).max()))
     l2_u = math.sqrt(sp.l2_norm_sq(u1) + sp.l2_norm_sq(u2))
     hs_u = vector_sobolev_norm((u1, u2), s, homogeneous=False)
-    linf_w = sp.lp_norm(w, np.inf, 4)
+    linf_w = sp.lp_norm(w, np.inf)
     denom = l2_u + linf_w * math.log2(2.0 + hs_u) + 1.0
     ratio = grad_sup / denom
 
     n_split = math.ceil(math.log2(2.0 + hs_u) / (s - 2.0))
     n_split = min(max(n_split, 1), partition.j_max)
     term_mid = term_high = 0.0
-    if include_split:
-        for j in partition.resolved():
-            blocked = SpectralField(w.grid, partition.multiplier(j) * w.coef)
-            block_sup = float(np.sqrt(sp.gradient_magnitude_sq(blocked, 4).max()))
-            if j < n_split:
-                term_mid += block_sup
-            else:
-                term_high += block_sup
+    for j in partition.resolved():
+        blocked = SpectralField(w.grid, partition.multiplier(j) * w.coef)
+        block_sup = float(np.sqrt(sp.gradient_magnitude_sq(blocked).max()))
+        if j < n_split:
+            term_mid += block_sup
+        else:
+            term_high += block_sup
     return GradientLogReport(
         ratio=ratio,
         grad_sup=grad_sup,
@@ -363,8 +353,8 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
         weight = np.abs(g.kd1) ** k1 * np.abs(g.kd2) ** k2
         sup2 = max(sup2, math.sqrt(sp.weighted_l2_norm_sq(f, weight**2)))
         deriv = SpectralField(g, (1j * g.kd1) ** k1 * (1j * g.kd2) ** k2 * f.coef)
-        supinf = max(supinf, sp.lp_norm(deriv, np.inf, 4))
+        supinf = max(supinf, sp.lp_norm(deriv, np.inf))
     return BernsteinRatios(
         l2=sup2 / (scale * sp.l2_norm(f)),
-        linf=supinf / (scale * sp.lp_norm(f, np.inf, 4)),
+        linf=supinf / (scale * sp.lp_norm(f, np.inf)),
     )

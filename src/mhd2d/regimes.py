@@ -31,7 +31,3 @@ def classify_regime(alpha: float, beta: float, nu: float, eta: float) -> str:
             return TAG_THEOREM_51
     return TAG_OUTSIDE
 
-
-def theorem12_gamma(alpha: float, beta: float) -> float:
-    """Midpoint of the admissible magnetic-regularity window (beta, alpha+beta)."""
-    return beta + 0.5 * alpha

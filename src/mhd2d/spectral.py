@@ -50,6 +50,11 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# Grid refinement for sup and L^p (p != 2) norms: `lp_norm`,
+# `gradient_magnitude_sq`, `pointwise_magnitude_sup` and the monitored
+# norms of `diagnostics.compute_record` evaluate on an OVERSAMPLE*n grid.
+OVERSAMPLE = 4
+
 
 class GridMismatchError(ValueError):
     """Fields attached to different grids were combined."""
@@ -189,11 +194,11 @@ class SpectralField:
         flipped = self.coef[_negated_index(self.grid.n)][:, _negated_index(self.grid.n)]
         return float(np.max(np.abs(flipped - np.conj(self.coef))))
 
-    def is_zero_mean(self, rel_tol: float = 1e-12) -> bool:
-        """True if the xi=0 coefficient is zero up to round-off relative to
-        the largest coefficient (exactly zero for a zero field)."""
+    def is_zero_mean(self) -> bool:
+        """True if the xi=0 coefficient is at most 1e-12 of the largest
+        coefficient (exactly zero for a zero field)."""
         top = np.max(np.abs(self.coef))
-        return abs(self.coef[0, 0]) <= rel_tol * top
+        return abs(self.coef[0, 0]) <= 1e-12 * top
 
 
 def _negated_index(n: int) -> np.ndarray:
@@ -368,18 +373,19 @@ def weighted_l2_norm_sq(F: SpectralField, weight: np.ndarray) -> float:
     return float(TWO_PI**2 / n**4 * np.sum(weight * np.abs(F.coef) ** 2))
 
 
-def active_band(F: SpectralField, rel_tol: float = 0.0) -> int:
+def active_band(F: SpectralField) -> int:
     """Largest max(|xi_1|, |xi_2|) carrying a coefficient above
-    rel_tol * max|coef| (0 if the field is zero)."""
+    1e-13 * max|coef|, so transform round-off does not count (0 if the
+    field is zero)."""
     mags = np.abs(F.coef)
     top = mags.max()
     if top == 0.0:
         return 0
     comp = np.maximum(np.abs(F.grid.k1), np.abs(F.grid.k2))
-    return int(comp[mags > rel_tol * top].max())
+    return int(comp[mags > 1e-13 * top].max())
 
 
-def oversampled_values(F: SpectralField, factor: int = 4) -> np.ndarray:
+def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a factor-times finer grid;
     factor 1 gives the collocation samples of `inverse`.
 
@@ -387,7 +393,7 @@ def oversampled_values(F: SpectralField, factor: int = 4) -> np.ndarray:
     <= n/2 - 1), which every dealiased field satisfies.
     """
     n = F.grid.n
-    if factor > 1 and active_band(F, rel_tol=1e-13) > n // 2 - 1:
+    if factor > 1 and active_band(F) > n // 2 - 1:
         raise ValueError("field carries Nyquist content; cannot oversample exactly")
     m = factor * n
     # Only the columns up to the last nonzero one enter the complex pass.
@@ -396,7 +402,9 @@ def oversampled_values(F: SpectralField, factor: int = 4) -> np.ndarray:
     block = np.zeros((m, width), dtype=np.complex128)
     block[: n // 2] = F.coef[: n // 2, :width]
     block[m - n // 2 :] = F.coef[n // 2 :, :width]
-    return _inverse_columns(block, m) * factor**2
+    vals = _inverse_columns(block, m)
+    vals *= factor**2
+    return vals
 
 
 def _oversample_factor_for(*bands, n: int, margin: int = 1) -> int:
@@ -423,16 +431,16 @@ def lp_of_samples(vals: np.ndarray, p: float) -> float:
     return lp_of_power_mean(np.mean(np.abs(vals) ** p), p)
 
 
-def lp_norm(F: SpectralField, p: float, oversample: int = 4) -> float:
+def lp_norm(F: SpectralField, p: float) -> float:
     """L^p norm over [0, 2pi)^2; p=2 by Parseval, otherwise the field is
-    evaluated on an oversampled physical grid (grid max for p = inf)."""
+    evaluated on the OVERSAMPLE grid (grid max for p = inf)."""
     if p == 2:
         return l2_norm(F)
-    return lp_of_samples(oversampled_values(F, oversample), p)
+    return lp_of_samples(oversampled_values(F, OVERSAMPLE), p)
 
 
-def gradient_magnitude_sq(w: SpectralField, oversample: int = 4) -> np.ndarray:
-    """|grad u|^2 on the oversampled grid for the divergence-free u with
+def gradient_magnitude_sq(w: SpectralField) -> np.ndarray:
+    """|grad u|^2 on the OVERSAMPLE grid for the divergence-free u with
     curl u = w.  Three transforms, of d1u1, d2u1 and d1u2 formed as in
     `velocity_gradient`: d2u2 = -d1u1 holds exactly, so its square is
     that of d1u1, and the four squares are summed in the order of
@@ -442,7 +450,7 @@ def gradient_magnitude_sq(w: SpectralField, oversample: int = 4) -> np.ndarray:
     q = g.inv_ksq * w.coef
 
     def squared(coef):
-        return oversampled_values(SpectralField(g, coef), oversample) ** 2
+        return oversampled_values(SpectralField(g, coef), OVERSAMPLE) ** 2
 
     sq11 = squared(-g.k1 * g.k2 * q)
     acc = sq11 + squared(-g.k2 * g.k2 * q)
@@ -451,11 +459,12 @@ def gradient_magnitude_sq(w: SpectralField, oversample: int = 4) -> np.ndarray:
     return acc
 
 
-def pointwise_magnitude_sup(fields, oversample: int = 4) -> float:
-    """Grid max of sqrt(sum_i f_i(x)^2) for a tuple of spectral fields."""
+def pointwise_magnitude_sup(fields) -> float:
+    """OVERSAMPLE-grid max of sqrt(sum_i f_i(x)^2) for a tuple of spectral
+    fields."""
     acc = None
     for F in fields:
-        v = oversampled_values(F, oversample)
+        v = oversampled_values(F, OVERSAMPLE)
         acc = v**2 if acc is None else acc + v**2
     return float(np.sqrt(acc.max()))
 
@@ -467,16 +476,13 @@ def random_band_field(
     rng: np.random.Generator,
     band: int,
     amplitude: float = 1.0,
-    zero_mean: bool = True,
 ) -> SpectralField:
     """Seeded random real field with spectrum confined to 1 <= |xi| <= band,
     normalized so ||f||_{L^2} = amplitude (zero field for amplitude 0)."""
     if band < 1 or band > grid.n // 2 - 1:
         raise ValueError(f"band must lie in [1, n/2-1], got {band}")
     noise = rng.standard_normal((grid.n, grid.n))
-    keep = grid.kmag <= band
-    if zero_mean:
-        keep &= grid.ksq > 0
+    keep = (grid.kmag <= band) & (grid.ksq > 0)
     coef = np.where(keep, forward(RealField(grid, noise)).coef, 0.0)
     nrm = l2_norm(SpectralField(grid, coef))
     if amplitude == 0.0 or nrm == 0.0:

@@ -88,6 +88,21 @@ class TestRatios:
         lhs, rhs = dg.positivity_check(f, p, alpha)
         assert 0.0 < lhs <= rhs
 
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize(
+        "exponents, expect",
+        [((4, 4, 4, 4), 1.0 / math.sqrt(6.0)), ((2, np.inf, 2, np.inf), 1.0 / (2.0 * math.sqrt(2.0)))],
+    )
+    def test_commutator_ratio_of_crossed_modes(self, n, exponents, expect):
+        # f = cos x1, g = cos x2, s = 2: Lambda^2(fg) - f Lambda^2 g = fg,
+        # with ||fg||_2 = pi.  ||cos||_4 = (3 pi^2 / 2)^(1/4) for each of
+        # grad f, Lambda g, Lambda^2 f and g, so (4, 4, 4, 4) gives
+        # pi / (2 sqrt(3/2) pi) = 1/sqrt 6; ||cos||_2 = pi sqrt 2 and
+        # ||cos||_inf = 1, so (2, inf, 2, inf) gives pi / (2 pi sqrt 2).
+        g = sp.TorusGrid(n)
+        ratio = dg.commutator_ratio(modes(g, (1.0, 1, 0)), modes(g, (1.0, 0, 1)), 2.0, exponents)
+        assert ratio == pytest.approx(expect, rel=1e-14)
+
 
 class TestMonitoredNorms:
     def test_hgamma_b_norm_of_a_single_mode(self, grid64):
@@ -103,9 +118,8 @@ class TestMonitoredNorms:
         assert dg.classify_growth(t, 2.0**t) == "growing"
 
     def test_record_lp_norms_match_lp_norm(self):
-        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0,
-                               init_kind="random-band", band=12, amplitude=2.0)
-        state = dyn.initial_state(cfg)
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0)
+        state = dyn.make_initial(sp.TorusGrid(64), "random-band", band=12, amplitude=2.0)
         rec = dg.compute_record(state, cfg)
         assert rec.lp4_w == sp.lp_norm(state.w, 4)
         assert rec.linf_w == sp.lp_norm(state.w, np.inf)

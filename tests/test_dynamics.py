@@ -15,7 +15,7 @@ from mhd2d import spectral as sp
 def ideal_config(n=64, **kw):
     base = dict(
         alpha=0.0, beta=0.0, nu=0.0, eta=0.0, n=n, dt=1e-3, t_end=0.0,
-        output_every=10, init_kind="random-band", band=8, amplitude=1.0, seed=0,
+        output_every=10,
     )
     base.update(kw)
     return dyn.SolverConfig(**base)
@@ -40,13 +40,9 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="alpha"):
             ideal_config(nu=0.0, alpha=0.3)
 
-    def test_unknown_integrator_rejected(self):
-        with pytest.raises(ValueError, match="integrator"):
-            ideal_config(integrator="euler")
-
     def test_band_capped_by_dealias_cutoff(self):
         with pytest.raises(ValueError, match="band"):
-            ideal_config(n=64, band=22)
+            dyn.make_initial(sp.TorusGrid(64), "random-band", band=22)
 
     def test_ideal_flags(self):
         cfg = ideal_config(nu=0.0, eta=1.0, beta=1.6)
@@ -207,9 +203,9 @@ class TestStep:
         def final(dt):
             cfg = dyn.SolverConfig(
                 alpha=1.0, beta=1.0, nu=0.02, eta=0.02, n=64, dt=dt, t_end=0.1,
-                output_every=10**9, init_kind="random-band", band=8, amplitude=2.0, seed=9,
+                output_every=10**9,
             )
-            state = dyn.initial_state(cfg)
+            state = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=9, amplitude=2.0)
             for state, _ in dyn.run(cfg, state):
                 pass
             return state
@@ -257,44 +253,48 @@ class TestStep:
 class TestRun:
     def test_t_end_zero_emits_only_initial_record(self):
         cfg = ideal_config(t_end=0.0)
-        out = list(dyn.run(cfg, dyn.initial_state(cfg)))
+        out = list(dyn.run(cfg, dyn.make_initial(sp.TorusGrid(64), "random-band")))
         assert len(out) == 1
         assert out[0][1].t == 0.0
 
     def test_cadence_and_final_sample(self):
         cfg = ideal_config(t_end=0.025, dt=1e-3, output_every=10)
-        recs = [r for _, r in dyn.run(cfg, dyn.initial_state(cfg))]
+        recs = [r for _, r in dyn.run(cfg, dyn.make_initial(sp.TorusGrid(64), "random-band"))]
         assert [round(r.t, 6) for r in recs] == [0.0, 0.01, 0.02, 0.025]
 
     def test_deterministic_given_config_and_seed(self):
-        cfg = ideal_config(t_end=0.02, dt=1e-3, seed=33)
-        a = [s for s, _ in dyn.run(cfg, dyn.initial_state(cfg))]
-        b = [s for s, _ in dyn.run(cfg, dyn.initial_state(cfg))]
+        cfg = ideal_config(t_end=0.02, dt=1e-3)
+        a = [s for s, _ in dyn.run(cfg, dyn.make_initial(sp.TorusGrid(64), "random-band", seed=33))]
+        b = [s for s, _ in dyn.run(cfg, dyn.make_initial(sp.TorusGrid(64), "random-band", seed=33))]
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.w.coef, sb.w.coef)
             assert np.array_equal(sa.j.coef, sb.j.coef)
 
     def test_mean_modes_stay_exactly_zero(self):
-        cfg = ideal_config(t_end=0.05, dt=1e-3, amplitude=2.0, seed=8)
-        for state, _ in dyn.run(cfg, dyn.initial_state(cfg)):
+        cfg = ideal_config(t_end=0.05, dt=1e-3)
+        init = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=8, amplitude=2.0)
+        for state, _ in dyn.run(cfg, init):
             assert state.w.coef[0, 0] == 0.0
             assert state.j.coef[0, 0] == 0.0
 
     def test_hermitian_symmetry_maintained(self):
-        cfg = ideal_config(t_end=0.02, dt=1e-3, amplitude=2.0, seed=8)
-        for state, _ in dyn.run(cfg, dyn.initial_state(cfg)):
+        cfg = ideal_config(t_end=0.02, dt=1e-3)
+        init = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=8, amplitude=2.0)
+        for state, _ in dyn.run(cfg, init):
             assert state.w.hermitian_defect() == 0.0
 
     def test_cfl_violation_aborts_with_state(self):
-        cfg = ideal_config(t_end=1.0, dt=0.5, amplitude=5.0, seed=2)
+        cfg = ideal_config(t_end=1.0, dt=0.5)
+        init = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=2, amplitude=5.0)
         with pytest.raises(dyn.SimulationAbort) as info:
-            list(dyn.run(cfg, dyn.initial_state(cfg)))
+            list(dyn.run(cfg, init))
         assert info.value.state is not None
         assert "step bound" in info.value.reason
 
     def test_ideal_energy_conserved(self):
-        cfg = ideal_config(t_end=0.5, dt=2e-3, output_every=50, amplitude=1.0, seed=4)
-        recs = [r for _, r in dyn.run(cfg, dyn.initial_state(cfg))]
+        cfg = ideal_config(t_end=0.5, dt=2e-3, output_every=50)
+        init = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=4, amplitude=1.0)
+        recs = [r for _, r in dyn.run(cfg, init)]
         e = [r.energy_u + r.energy_b for r in recs]
         assert max(abs(x - e[0]) for x in e) / e[0] < 1e-10
 
@@ -329,6 +329,11 @@ class TestMakeInitial:
         with pytest.raises(ValueError, match="cutoff"):
             dyn.make_initial(g, "random-band", band=11)
 
+    @pytest.mark.parametrize("kind", dyn.INIT_KINDS)
+    def test_negative_amplitude_rejected(self, kind):
+        with pytest.raises(ValueError, match="amplitude"):
+            dyn.make_initial(sp.TorusGrid(32), kind, amplitude=-1.0)
+
 
 class TestRescale:
     def test_lambda_one_is_identity(self):
@@ -359,16 +364,15 @@ class TestRescale:
         n, lam = 64, 2
         cfg_a = dyn.SolverConfig(
             alpha=1.0, beta=1.0, nu=1.0, eta=1.0, n=n, dt=2e-3, t_end=0.2,
-            output_every=10**9, init_kind="random-band", band=5, amplitude=1.0, seed=12,
+            output_every=10**9,
         )
-        init = dyn.initial_state(cfg_a)
+        init = dyn.make_initial(sp.TorusGrid(n), "random-band", seed=12, amplitude=1.0, band=5)
         for state_a, _ in dyn.run(cfg_a, init):
             pass
         path_a = dyn.rescale(state_a, lam, 1.0, tail_tol=1e-6)
         cfg_b = dyn.SolverConfig(
             alpha=1.0, beta=1.0, nu=1.0, eta=1.0, n=n, dt=2e-3 / lam**2,
-            t_end=0.2 / lam**2, output_every=10**9, init_kind="random-band",
-            band=5, amplitude=1.0, seed=12,
+            t_end=0.2 / lam**2, output_every=10**9,
         )
         for state_b, _ in dyn.run(cfg_b, dyn.rescale(init, lam, 1.0)):
             pass

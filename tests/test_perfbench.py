@@ -4,9 +4,11 @@ perfbench/ is put on sys.path and its modules are imported directly;
 run.py is not imported, because it sets environment variables.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -36,3 +38,11 @@ def test_perturbed_orszag_tang_initial_state_steps():
     out = dynamics.step(state, wl.config(n=32))
     assert out.t == pytest.approx(wl.dt)
     assert out.w.dealiased and out.j.dealiased
+
+
+def test_lp128_panel_passes_its_check_at_n64():
+    # The panel calls most of the inequality diagnostics; a broken call
+    # or a failed identity shows here before the benchmark runs it.
+    wl = dataclasses.replace(workloads.WORKLOADS["lp128-panel"], n=64)
+    f, g, block = wl.inputs(np.random.default_rng(0))
+    assert wl.check(f, g, wl.panel(f, g, block)) is None

@@ -359,13 +359,12 @@ class TestCompactColumns:
         assert np.array_equal(grads[3].coef, -grads[0].coef)
         vals = [sp.oversampled_values(c, 4) for c in grads]
         four = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
-        assert np.array_equal(sp.gradient_magnitude_sq(w, 4), four)
-        assert float(np.sqrt(four.max())) == sp.pointwise_magnitude_sup(grads, 4)
+        assert np.array_equal(sp.gradient_magnitude_sq(w), four)
+        assert float(np.sqrt(four.max())) == sp.pointwise_magnitude_sup(grads)
 
     def test_compute_record_makes_four_transforms(self, monkeypatch):
-        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=0.0,
-                               init_kind="random-band", band=8)
-        state = dyn.initial_state(cfg)
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=0.0)
+        state = dyn.make_initial(sp.TorusGrid(32), "random-band", band=8)
         calls = []
 
         def counting(real):

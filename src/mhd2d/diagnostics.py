@@ -158,13 +158,9 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     allowed = {2.0, 4.0, float("inf")}
     if not {p1, p2, p3, p4} <= allowed:
         raise ValueError(f"exponents must come from {{2, 4, inf}}, got {exponents}")
-
-    def inv(q):
-        return 0.0 if np.isinf(q) else 1.0 / q
-
-    if abs((inv(p1) + inv(p2)) - (inv(p3) + inv(p4))) > 1e-12:
+    if abs((1.0 / p1 + 1.0 / p2) - (1.0 / p3 + 1.0 / p4)) > 1e-12:
         raise ValueError("Hoelder exponents inconsistent: 1/p1+1/p2 != 1/p3+1/p4")
-    ip = inv(p1) + inv(p2)
+    ip = 1.0 / p1 + 1.0 / p2
     if ip == 0.0:
         p = float("inf")
     else:

@@ -35,7 +35,7 @@ def _bump_profile(r: np.ndarray) -> np.ndarray:
 
 
 class DyadicPartition:
-    """Multipliers Phi_j (annuli) and Psi (mean mode) for one grid."""
+    """Multipliers Phi_j on the annuli A_j for one grid."""
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
@@ -50,10 +50,6 @@ class DyadicPartition:
         phi = np.where(nonzero, raw / scale, 0.0)
         phi.flags.writeable = False
         self.phi = phi
-        psi = np.zeros((grid.n, grid.n))
-        psi[0, 0] = 1.0
-        psi.flags.writeable = False
-        self.psi = psi
 
     def multiplier(self, j: int) -> np.ndarray | None:
         """Phi_j on the lattice, or None when A_j misses the lattice."""
@@ -92,7 +88,9 @@ def dyadic_block(f: SpectralField, j: int, homogeneous: bool = True) -> Spectral
         if j <= -2:
             return SpectralField.zeros(f.grid)
         if j == -1:
-            return SpectralField(f.grid, partition.psi * f.coef)
+            mean = np.zeros_like(f.coef)
+            mean[0, 0] = f.coef[0, 0]
+            return SpectralField(f.grid, mean)
     mult = partition.multiplier(j)
     if mult is None:
         return SpectralField.zeros(f.grid)
@@ -160,10 +158,6 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
     else:
         weight = (1.0 + g.ksq) ** s
     return math.sqrt(sp.weighted_l2_norm_sq(f, weight))
-
-
-def vector_sobolev_norm(fields, s: float, homogeneous: bool = True) -> float:
-    return math.sqrt(sum(sobolev_norm(F, s, homogeneous) ** 2 for F in fields))
 
 
 # --- paraproducts ------------------------------------------------------------
@@ -275,7 +269,7 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     u1, u2 = sp.biot_savart(w)
     grad_sup = float(np.sqrt(sp.gradient_magnitude_sq(w).max()))
     l2_u = math.sqrt(sp.l2_norm_sq(u1) + sp.l2_norm_sq(u2))
-    hs_u = vector_sobolev_norm((u1, u2), s, homogeneous=False)
+    hs_u = math.sqrt(sum(sobolev_norm(F, s, homogeneous=False) ** 2 for F in (u1, u2)))
     linf_w = sp.lp_norm(w, np.inf)
     denom = l2_u + linf_w * math.log2(2.0 + hs_u) + 1.0
     ratio = grad_sup / denom
@@ -330,11 +324,9 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     if support not in ("annulus", "ball"):
         raise ValueError(f"support must be 'annulus' or 'ball', got {support!r}")
     g = f.grid
-    mags = np.abs(f.coef)
-    top = mags.max()
-    if top == 0.0:
+    active = sp.active_modes(f)
+    if not active.any():
         raise ValueError("zero input")
-    active = mags > 1e-13 * top
     radius = g.kmag[active]
     if support == "annulus":
         if radius.min() < 2.0 ** (j - 1) or radius.max() > 2.0 ** (j + 1):

@@ -36,6 +36,9 @@ Where each invariant is checked:
   (module dynamics), for every state the solver makes or reads.
 * Hermitian symmetry: built exactly by `_hermitian_extend` on every
   forward transform, and checked on outside input by `read_checkpoint`.
+* Active spectrum: `active_modes` holds the one threshold below which a
+  coefficient counts as transform round-off; `active_band` and
+  `littlewood_paley.bernstein_ratio` read it.
 
 All operations are pure: they never mutate their inputs, and the arrays
 wrapped by a field are frozen (writeable=False) at construction.
@@ -259,12 +262,10 @@ def symbol_power(grid: TorusGrid, gamma: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _symbol_power(n: int, gamma: float) -> np.ndarray:
-    # Keyed by n, not by the grid, so that the cache keeps no grid alive;
-    # ksq is formed as in TorusGrid, with the same bits.
+    # Keyed by n, not by the grid, so that the cache keeps no grid alive.
     if gamma == 0.0:
         return _frozen(np.ones((n, n)))
-    k = np.fft.fftfreq(n, 1.0 / n)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    ksq = TorusGrid(n).ksq
     sym = np.zeros((n, n))
     nz = ksq > 0
     sym[nz] = ksq[nz] ** gamma
@@ -278,8 +279,6 @@ def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
         raise ValueError(f"exponent gamma must be >= -1, got {gamma}")
     if gamma < 0.0 and not F.is_zero_mean():
         raise MeanModeError("negative-order multiplier needs a zero-mean field")
-    if gamma == 0.0:
-        return SpectralField(F.grid, F.coef.copy())
     return SpectralField(F.grid, symbol_power(F.grid, gamma) * F.coef)
 
 
@@ -292,13 +291,6 @@ def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
     else:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     return SpectralField(F.grid, 1j * k * F.coef)
-
-
-def perp_gradient(psi: SpectralField):
-    """(-d2 psi, d1 psi), the rotated gradient of a streamfunction."""
-    d1 = partial_derivative(psi, 1)
-    d2 = partial_derivative(psi, 2)
-    return SpectralField(psi.grid, -d2.coef), d1
 
 
 def biot_savart(w: SpectralField):
@@ -373,16 +365,18 @@ def weighted_l2_norm_sq(F: SpectralField, weight: np.ndarray) -> float:
     return float(TWO_PI**2 / n**4 * np.sum(weight * np.abs(F.coef) ** 2))
 
 
-def active_band(F: SpectralField) -> int:
-    """Largest max(|xi_1|, |xi_2|) carrying a coefficient above
-    1e-13 * max|coef|, so transform round-off does not count (0 if the
-    field is zero)."""
+def active_modes(F: SpectralField) -> np.ndarray:
+    """Mask of the coefficients above 1e-13 * max|coef|, so transform
+    round-off does not count (all False for the zero field)."""
     mags = np.abs(F.coef)
-    top = mags.max()
-    if top == 0.0:
-        return 0
+    return mags > 1e-13 * mags.max()
+
+
+def active_band(F: SpectralField) -> int:
+    """Largest max(|xi_1|, |xi_2|) over the `active_modes` of F (0 if the
+    field is zero)."""
     comp = np.maximum(np.abs(F.grid.k1), np.abs(F.grid.k2))
-    return int(comp[mags > 1e-13 * top].max())
+    return int(np.max(comp, where=active_modes(F), initial=0))
 
 
 def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:

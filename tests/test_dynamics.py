@@ -40,13 +40,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="alpha"):
             ideal_config(nu=0.0, alpha=0.3)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dt", np.nan), ("t_end", np.nan), ("dt", np.inf), ("nu", np.nan), ("eta", np.inf)],
+    )
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ideal_config(n=32, **{field: value})
+
     def test_band_capped_by_dealias_cutoff(self):
         with pytest.raises(ValueError, match="band"):
             dyn.make_initial(sp.TorusGrid(64), "random-band", band=22)
-
-    def test_ideal_flags(self):
-        cfg = ideal_config(nu=0.0, eta=1.0, beta=1.6)
-        assert cfg.ideal_flags == {"nu_zero": True, "eta_zero": False}
 
 
 class TestMHDState:
@@ -324,6 +328,14 @@ class TestMakeInitial:
         assert np.array_equal(a.w.coef, b.w.coef)
         assert np.array_equal(a.j.coef, b.j.coef)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_orszag_tang_ignores_band_on_small_grids(self, n):
+        # The default band 8 exceeds the cutoffs 2 and 5; Orszag-Tang does not use it.
+        st = dyn.make_initial(sp.TorusGrid(n), "orszag-tang")
+        assert isinstance(st, dyn.MHDState)
+        assert st.w.coef[1, 0] == 0.5 * n**2
+        assert st.j.coef[2, 0] == n**2
+
     def test_band_beyond_cutoff_rejected(self):
         g = sp.TorusGrid(32)
         with pytest.raises(ValueError, match="cutoff"):
@@ -353,6 +365,13 @@ class TestRescale:
         assert out.w.coef[2, 0] == 4.0 * 64**2
         assert out.w.coef[1, 0] == 0.0
         assert out.t == 0.25 / 4.0
+
+    def test_band_limited_fields_pass_the_strict_check(self):
+        # Nothing lies beyond the kept box |xi| <= 10, so tail_tol = 0 must
+        # accept every seed.
+        for seed in range(20):
+            state = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=seed, band=5)
+            dyn.rescale(state, 2, 1.0)
 
     def test_overflowing_spectrum_rejected(self):
         state = random_state(n=32, band=10)

@@ -70,6 +70,14 @@ class TestBlocks:
             total += lp.dyadic_block(f, j, homogeneous=False).coef
         assert np.max(np.abs(total - f.coef)) / np.max(np.abs(f.coef)) < 1e-12
 
+    def test_inhomogeneous_minus_one_is_the_mean_mode(self, grid):
+        coef = band_field(grid, seed=9).coef.copy()
+        coef[0, 0] = -1.5 * grid.n**2
+        out = lp.dyadic_block(sp.SpectralField(grid, coef), -1, homogeneous=False)
+        expected = np.zeros_like(coef)
+        expected[0, 0] = coef[0, 0]
+        assert np.array_equal(out.coef, expected)
+
     def test_inhomogeneous_below_minus_one_is_zero(self, grid):
         f = band_field(grid, seed=7)
         out = lp.dyadic_block(f, -2, homogeneous=False)
@@ -317,6 +325,22 @@ class TestBernstein:
         f = band_field(grid, seed=51, band=40)
         with pytest.raises(ValueError, match="support"):
             lp.bernstein_ratio(f, 2, 1, support="annulus")
+
+    @pytest.mark.parametrize("rel, counted", [(1e-14, False), (1e-12, True)])
+    def test_active_threshold_shared_with_active_band(self, grid, rel, counted):
+        # A tail at |xi| = 40, outside A_3, at rel times the largest
+        # coefficient: both functions count it or both ignore it.
+        block = lp.dyadic_block(band_field(grid, seed=52, band=40), 3)
+        assert sp.active_band(block) < 16
+        coef = block.coef.copy()
+        coef[40, 0] = coef[-40, 0] = rel * np.max(np.abs(coef))
+        f = sp.SpectralField(grid, coef)
+        assert (sp.active_band(f) == 40) == counted
+        if counted:
+            with pytest.raises(ValueError, match="annulus"):
+                lp.bernstein_ratio(f, 3, 1, support="annulus")
+        else:
+            lp.bernstein_ratio(f, 3, 1, support="annulus")
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_annulus_ensemble_two_sided(self, grid, k):

@@ -1,6 +1,8 @@
 """Tests for the torus grid, transforms, and spectral operators."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +100,7 @@ class TestFractionalLaplacian:
         rng = np.random.default_rng(5)
         F = sp.forward(sp.RealField(grid64, rng.standard_normal((64, 64))))
         out = sp.fractional_laplacian(F, 0.0)
+        assert F.coef[0, 0] != 0.0  # the mean mode is covered too
         assert np.array_equal(out.coef, F.coef)
 
     def test_full_laplacian_on_single_mode(self, grid64):
@@ -154,15 +157,6 @@ class TestDerivatives:
     def test_bad_axis_rejected(self, grid64):
         with pytest.raises(ValueError):
             sp.partial_derivative(sp.SpectralField.zeros(grid64), 3)
-
-    def test_perp_gradient_closed_form(self, grid64):
-        psi = sp.forward(
-            sp.RealField.from_function(grid64, lambda x1, x2: -0.5 * np.sin(x1) * np.sin(x2))
-        )
-        g1, g2 = sp.perp_gradient(psi)
-        x1, x2 = grid64.coordinates()
-        assert np.max(np.abs(sp.inverse(g1).values - 0.5 * np.sin(x1) * np.cos(x2))) < 1e-12
-        assert np.max(np.abs(sp.inverse(g2).values + 0.5 * np.cos(x1) * np.sin(x2))) < 1e-12
 
 
 class TestBiotSavart:
@@ -378,6 +372,34 @@ class TestCompactColumns:
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         dg.compute_record(state, cfg)
         assert len(calls) == 4
+
+
+def _lattice_builders(tree):
+    """Qualified names of the scopes that mention fftfreq: as an
+    attribute (np.fft.fftfreq), a bare name, or an imported name."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            names = {getattr(child, field, None) for field in ("attr", "id", "name")}
+            if "fftfreq" in names:
+                found.append(".".join(scope) or "<module>")
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            walk(child, inner)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_torus_grid_builds_the_lattice():
+    """The wavenumber lattice has one owner; everything else reads the grid."""
+    builders = {}
+    for path in sorted(Path(sp.__file__).parent.glob("*.py")):
+        for scope in _lattice_builders(ast.parse(path.read_text())):
+            builders.setdefault(scope, []).append(path.name)
+    assert builders == {"TorusGrid.__init__": ["spectral.py"]}
 
 
 class TestSymbolPower:

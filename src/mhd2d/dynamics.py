@@ -84,7 +84,7 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative")
         if self.output_every < 1:
             raise ValueError("output_every must be a positive integer")
-        TorusGrid(self.n)  # validates the resolution
+        sp.check_grid_size(self.n)
 
 
 @dataclass(frozen=True)

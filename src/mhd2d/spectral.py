@@ -24,8 +24,19 @@ Conventions used throughout the package:
   complex pass on the leading columns only; the real pass zero-pads
   them itself.  Every skipped column is exactly zero and every 1D
   transform that runs is the one rfft2/irfft2 would run, so the results
-  are bit-identical to the full-width transforms.  `inverse` and
-  `oversampled_values` share this one pruned inverse.
+  are bit-identical to the full-width transforms.  `inverse`,
+  `oversampled_values` and `oversampled_rows` share this one pruned
+  complex pass, `_fine_columns`.
+* Row blocks.  A sup or L^p (p != 2) norm on the OVERSAMPLE grid needs
+  only a max or a sum, so it never holds the whole fine-grid array:
+  `oversampled_rows` runs the real pass ROW_BLOCK fine rows at a time,
+  and `lp_norm`, `gradient_magnitude_sq`, `pointwise_magnitude_sup` and
+  `diagnostics.compute_record` reduce each block as it comes.  A real
+  pass along axis 1 treats each row on its own, so the rows are those of
+  `oversampled_values`, bit for bit.  The yielded buffers are scratch:
+  the next block overwrites them.  Products of fields (the commutator,
+  paraproduct, positivity and product diagnostics) still take whole
+  arrays from `oversampled_values`.
 
 Where each invariant is checked:
 
@@ -47,6 +58,7 @@ wrapped by a field are frozen (writeable=False) at construction.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -57,6 +69,8 @@ TWO_PI = 2.0 * np.pi
 # `gradient_magnitude_sq`, `pointwise_magnitude_sup` and the monitored
 # norms of `diagnostics.compute_record` evaluate on an OVERSAMPLE*n grid.
 OVERSAMPLE = 4
+# Fine-grid rows per block of `oversampled_rows`.
+ROW_BLOCK = 32
 
 
 class GridMismatchError(ValueError):
@@ -81,34 +95,55 @@ def _frozen(arr):
     return arr
 
 
+def check_grid_size(n: int) -> int:
+    """n as an int if it is a valid grid size (a power of two >= 8),
+    else ValueError."""
+    if n < 8 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+    return int(n)
+
+
 class TorusGrid:
     """Collocation grid and integer wavenumber lattice on [0, 2*pi)^2.
 
-    n must be a power of two, n >= 8.  Grids with equal n are
-    interchangeable; equality and hashing go by n.
+    n must be a power of two, n >= 8.  There is one live grid per n:
+    while any reference to a grid is held, TorusGrid(n) returns that same
+    grid instead of building the lattice again, so grids with equal n are
+    identical and identity is equality.
     """
 
-    def __init__(self, n: int):
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 8, got {n}")
-        self.n = int(n)
+    _live = weakref.WeakValueDictionary()
+
+    def __new__(cls, n: int):
+        n = check_grid_size(n)
+        grid = cls._live.get(n)
+        if grid is not None:
+            return grid
+        grid = super().__new__(cls)
+        grid.n = n
         k = np.fft.fftfreq(n, 1.0 / n)  # exact integers as floats
-        self.k1, self.k2 = (_frozen(a) for a in np.meshgrid(k, k, indexing="ij"))
-        self.ksq = _frozen(self.k1**2 + self.k2**2)
-        self.kmag = _frozen(np.sqrt(self.ksq))
-        inv = np.zeros_like(self.ksq)
-        inv[self.ksq > 0] = 1.0 / self.ksq[self.ksq > 0]
-        self.inv_ksq = _frozen(inv)
+        grid.k1, grid.k2 = (_frozen(a) for a in np.meshgrid(k, k, indexing="ij"))
+        grid.ksq = _frozen(grid.k1**2 + grid.k2**2)
+        grid.kmag = _frozen(np.sqrt(grid.ksq))
+        inv = np.zeros_like(grid.ksq)
+        inv[grid.ksq > 0] = 1.0 / grid.ksq[grid.ksq > 0]
+        grid.inv_ksq = _frozen(inv)
         # Odd-order multipliers annihilate the Nyquist line so that they
         # map Hermitian-symmetric arrays to Hermitian-symmetric arrays.
         kd = k.copy()
         kd[n // 2] = 0.0
-        self.kd1, self.kd2 = (_frozen(a) for a in np.meshgrid(kd, kd, indexing="ij"))
-        self.dealias_cutoff = n // 3
-        self.dealias_mask = _frozen(
-            (np.abs(self.k1) <= self.dealias_cutoff)
-            & (np.abs(self.k2) <= self.dealias_cutoff)
+        grid.kd1, grid.kd2 = (_frozen(a) for a in np.meshgrid(kd, kd, indexing="ij"))
+        grid.dealias_cutoff = n // 3
+        grid.dealias_mask = _frozen(
+            (np.abs(grid.k1) <= grid.dealias_cutoff)
+            & (np.abs(grid.k2) <= grid.dealias_cutoff)
         )
+        cls._live[n] = grid
+        return grid
+
+    def __reduce__(self):
+        # A copy or an unpickled grid is the live grid of its n.
+        return TorusGrid, (self.n,)
 
     def coordinates(self):
         """Meshgrid (X1, X2) of collocation points."""
@@ -118,12 +153,6 @@ class TorusGrid:
     @property
     def spacing(self) -> float:
         return TWO_PI / self.n
-
-    def __eq__(self, other):
-        return isinstance(other, TorusGrid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("TorusGrid", self.n))
 
     def __repr__(self):
         return f"TorusGrid(n={self.n})"
@@ -375,13 +404,16 @@ def active_modes(F: SpectralField) -> np.ndarray:
 def active_band(F: SpectralField) -> int:
     """Largest max(|xi_1|, |xi_2|) over the `active_modes` of F (0 if the
     field is zero)."""
-    comp = np.maximum(np.abs(F.grid.k1), np.abs(F.grid.k2))
-    return int(np.max(comp, where=active_modes(F), initial=0))
+    active = active_modes(F)
+    k = np.abs(F.grid.k1[:, 0])  # |xi_1| by row, and |xi_2| by column
+    return int(max(k[active.any(axis=1)].max(initial=0), k[active.any(axis=0)].max(initial=0)))
 
 
-def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
-    """Evaluate the trigonometric polynomial on a factor-times finer grid;
-    factor 1 gives the collocation samples of `inverse`.
+def _fine_columns(F: SpectralField, factor: int) -> np.ndarray:
+    """The complex column pass of F on the factor-times finer grid: its
+    occupied leading half-spectrum columns, zero-padded to m = factor*n
+    rows and transformed along axis 0.  The real pass along axis 1 of
+    these m rows gives the fine-grid values, up to the factor**2 scale.
 
     For factor > 1 the spectrum must be Nyquist-free (max component
     <= n/2 - 1), which every dealiased field satisfies.
@@ -396,9 +428,37 @@ def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     block = np.zeros((m, width), dtype=np.complex128)
     block[: n // 2] = F.coef[: n // 2, :width]
     block[m - n // 2 :] = F.coef[n // 2 :, :width]
-    vals = _inverse_columns(block, m)
+    return np.fft.ifft(block, axis=0)
+
+
+def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
+    """Evaluate the trigonometric polynomial on a factor-times finer grid;
+    factor 1 gives the collocation samples of `inverse`.  The whole
+    (factor*n)^2 array: sup and L^p reductions on the OVERSAMPLE grid go
+    through `oversampled_rows` instead."""
+    m = factor * F.grid.n
+    vals = np.fft.irfft2(_fine_columns(F, factor), s=(m,), axes=(1,))
     vals *= factor**2
     return vals
+
+
+def oversampled_rows(fields):
+    """For each block of ROW_BLOCK consecutive rows of the OVERSAMPLE grid,
+    yield a list with the values of each field on those rows: the rows of
+    `oversampled_values(F, OVERSAMPLE)`, bit for bit.
+
+    The yielded arrays are scratch: one buffer per field, overwritten by
+    the next block, which the caller may also overwrite.
+    """
+    _check_same_grid(*fields)
+    m = OVERSAMPLE * fields[0].grid.n  # >= 32 and a power of two: whole blocks
+    cols = [_fine_columns(F, OVERSAMPLE) for F in fields]
+    bufs = [np.empty((ROW_BLOCK, m)) for _ in fields]
+    for r in range(0, m, ROW_BLOCK):
+        for c, buf in zip(cols, bufs):
+            np.fft.irfft(c[r : r + ROW_BLOCK], n=m, axis=1, out=buf)
+            buf *= OVERSAMPLE**2
+        yield bufs
 
 
 def _oversample_factor_for(*bands, n: int, margin: int = 1) -> int:
@@ -417,12 +477,21 @@ def lp_of_power_mean(mean: float, p: float) -> float:
     return float((TWO_PI**2 * mean) ** (1.0 / p))
 
 
-def lp_of_samples(vals: np.ndarray, p: float) -> float:
+def lp_of_samples(blocks, p: float) -> float:
     """L^p norm over [0, 2pi)^2 of a function from its samples on a
-    uniform grid; the largest |sample| for p = inf."""
+    uniform grid, given as blocks of rows (one block for a whole array);
+    the largest |sample| for p = inf.  Overwrites the blocks, which may be
+    the scratch blocks `oversampled_rows` yields."""
     if np.isinf(p):
-        return float(np.max(np.abs(vals)))
-    return lp_of_power_mean(np.mean(np.abs(vals) ** p), p)
+        return float(np.max([np.abs(v, out=v).max() for v in blocks]))
+    total = 0.0
+    count = 0
+    for v in blocks:
+        np.abs(v, out=v)
+        v **= p
+        total += float(np.sum(v))
+        count += v.size
+    return lp_of_power_mean(total / count, p)
 
 
 def lp_norm(F: SpectralField, p: float) -> float:
@@ -430,37 +499,43 @@ def lp_norm(F: SpectralField, p: float) -> float:
     evaluated on the OVERSAMPLE grid (grid max for p = inf)."""
     if p == 2:
         return l2_norm(F)
-    return lp_of_samples(oversampled_values(F, OVERSAMPLE), p)
+    return lp_of_samples((v for v, in oversampled_rows((F,))), p)
 
 
-def gradient_magnitude_sq(w: SpectralField) -> np.ndarray:
-    """|grad u|^2 on the OVERSAMPLE grid for the divergence-free u with
-    curl u = w.  Three transforms, of d1u1, d2u1 and d1u2 formed as in
+def gradient_magnitude_sq(w: SpectralField):
+    """Row blocks of |grad u|^2 on the OVERSAMPLE grid for the
+    divergence-free u with curl u = w, scratch as in `oversampled_rows`.
+    Three transforms, of d1u1, d2u1 and d1u2 formed as in
     `velocity_gradient`: d2u2 = -d1u1 holds exactly, so its square is
     that of d1u1, and the four squares are summed in the order of
-    `pointwise_magnitude_sup`, with the same bits.  One component is held
-    at a time, which keeps the peak memory down."""
+    `pointwise_magnitude_sup`, with the same bits."""
     g = w.grid
     q = g.inv_ksq * w.coef
+    comps = [SpectralField(g, c) for c in (-g.k1 * g.k2 * q, -g.k2 * g.k2 * q, g.k1 * g.k1 * q)]
+    for d11, d21, d12 in oversampled_rows(comps):
+        for v in (d11, d21, d12):
+            np.square(v, out=v)
+        d21 += d11
+        d21 += d12
+        d21 += d11
+        yield d21
 
-    def squared(coef):
-        return oversampled_values(SpectralField(g, coef), OVERSAMPLE) ** 2
 
-    sq11 = squared(-g.k1 * g.k2 * q)
-    acc = sq11 + squared(-g.k2 * g.k2 * q)
-    acc += squared(g.k1 * g.k1 * q)
-    acc += sq11
-    return acc
+def gradient_sup(w: SpectralField) -> float:
+    """OVERSAMPLE-grid max of |grad u| for the u with curl u = w."""
+    return float(np.sqrt(np.max([sq.max() for sq in gradient_magnitude_sq(w)])))
 
 
 def pointwise_magnitude_sup(fields) -> float:
     """OVERSAMPLE-grid max of sqrt(sum_i f_i(x)^2) for a tuple of spectral
     fields."""
-    acc = None
-    for F in fields:
-        v = oversampled_values(F, OVERSAMPLE)
-        acc = v**2 if acc is None else acc + v**2
-    return float(np.sqrt(acc.max()))
+    tops = []
+    for vals in oversampled_rows(fields):
+        acc = vals[0] ** 2
+        for v in vals[1:]:
+            acc += v**2
+        tops.append(acc.max())
+    return float(np.sqrt(np.max(tops)))
 
 
 # --- random data -----------------------------------------------------------

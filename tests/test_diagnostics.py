@@ -125,3 +125,30 @@ class TestMonitoredNorms:
         assert rec.linf_w == sp.lp_norm(state.w, np.inf)
         # |w|^8 is the square of |w|^4 in the record, a power of 8 in lp_norm.
         assert rec.lp8_w == pytest.approx(sp.lp_norm(state.w, 8), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["orszag-tang", "random-band"])
+    def test_budget_residual_of_a_state_at_rest(self, kind):
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=3e-3)
+        init = dyn.make_initial(sp.TorusGrid(32), kind, amplitude=0.0)
+        recs = [r for _, r in dyn.run(cfg, init)]
+        assert len(recs) == 2
+        with pytest.raises(ValueError, match="zero initial energy"):
+            dg.energy_budget_residual(recs, cfg)
+
+    def test_record_rejects_a_non_finite_gradient_block(self, monkeypatch):
+        # A NaN in one fine-grid row block of grad u, away from the first
+        # block, must reach the record's finiteness check.
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=0.0)
+        state = dyn.make_initial(sp.TorusGrid(32), "random-band", band=8)
+        real, calls = np.fft.irfft, []
+
+        def poisoned(a, *args, **kwargs):
+            out = real(a, *args, **kwargs)
+            calls.append(a.shape)
+            if len(calls) == 6:  # w block 0, 3 gradient parts, w block 1, then d1u1
+                out[1, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", poisoned)
+        with pytest.raises(sp.NonFiniteFieldError):
+            dg.compute_record(state, cfg)

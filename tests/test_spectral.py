@@ -2,6 +2,10 @@
 
 import ast
 import dataclasses
+import gc
+import pickle
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from mhd2d import diagnostics as dg
 from mhd2d import dynamics as dyn
+from mhd2d import littlewood_paley as lp
 from mhd2d import spectral as sp
 
 
@@ -35,6 +40,28 @@ class TestTorusGrid:
     def test_grids_with_equal_n_are_interchangeable(self):
         assert sp.TorusGrid(16) == sp.TorusGrid(16)
         assert sp.TorusGrid(16) != sp.TorusGrid(32)
+
+    def test_one_live_grid_per_n(self):
+        held = sp.TorusGrid(64)
+        assert sp.TorusGrid(64) is held
+        assert pickle.loads(pickle.dumps(held)) is held
+
+    def test_caches_keep_no_grid_alive(self):
+        gc.collect()  # garbage of earlier tests may still hold a grid
+        g = sp.TorusGrid(16)
+        sp.symbol_power(g, 0.35)
+        lp.build_partition(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+
+    def test_config_builds_no_grid(self):
+        gc.collect()
+        assert 256 not in sp.TorusGrid._live
+        dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=256)
+        assert 256 not in sp.TorusGrid._live
+        with pytest.raises(ValueError, match="power of two"):
+            dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=96)
 
     def test_grid_mismatch_rejected(self, grid64):
         other = sp.TorusGrid(32)
@@ -353,25 +380,120 @@ class TestCompactColumns:
         assert np.array_equal(grads[3].coef, -grads[0].coef)
         vals = [sp.oversampled_values(c, 4) for c in grads]
         four = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
-        assert np.array_equal(sp.gradient_magnitude_sq(w), four)
+        assert np.array_equal(np.concatenate(_copies(sp.gradient_magnitude_sq(w))), four)
         assert float(np.sqrt(four.max())) == sp.pointwise_magnitude_sup(grads)
+        assert float(np.sqrt(four.max())) == sp.gradient_sup(w)
 
     def test_compute_record_makes_four_transforms(self, monkeypatch):
+        # One real pass over the OVERSAMPLE grid each for w and the three
+        # gradient components, and no whole-array transform.
         cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=0.0)
         state = dyn.make_initial(sp.TorusGrid(32), "random-band", band=8)
-        calls = []
+        m = sp.OVERSAMPLE * 32
+        rows, whole = [], []
 
-        def counting(real):
-            def wrapped(*args, **kwargs):
-                calls.append(real)
-                return real(*args, **kwargs)
+        def counting(real, log):
+            def wrapped(a, *args, **kwargs):
+                log.append(a.shape[0])
+                return real(a, *args, **kwargs)
 
             return wrapped
 
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, rows))
         for name in ("rfft2", "irfft2"):
-            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), whole))
         dg.compute_record(state, cfg)
-        assert len(calls) == 4
+        assert sum(rows) == 4 * m
+        assert whole == []
+
+
+def _copies(blocks):
+    """Copies of scratch row blocks, in order."""
+    return [b.copy() for b in blocks]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    @pytest.mark.parametrize("kind", ["band8", "nyquist-free", "zero"])
+    def test_rows_match_oversampled_values(self, n, kind):
+        g = sp.TorusGrid(n)
+        rng = np.random.default_rng(n)
+        F = {
+            "band8": lambda: sp.random_band_field(g, rng, band=min(8, n // 2 - 1)),
+            "nyquist-free": lambda: _nyquist_free_field(g, rng),
+            "zero": lambda: sp.SpectralField.zeros(g),
+        }[kind]()
+        G = sp.random_band_field(g, rng, band=3)
+        blocks = [[v.copy() for v in vals] for vals in sp.oversampled_rows((F, G))]
+        for i, H in enumerate((F, G)):
+            rows = np.concatenate([b[i] for b in blocks])
+            assert np.array_equal(rows, sp.oversampled_values(H, sp.OVERSAMPLE))
+
+    def test_buffers_are_reused(self, grid64):
+        F = sp.random_band_field(grid64, np.random.default_rng(3), band=9)
+        seen = {id(vals[0]) for vals in sp.oversampled_rows((F,))}
+        assert len(seen) == 1
+
+    def test_nyquist_content_rejected(self, grid64):
+        coef = np.zeros((64, 64), dtype=np.complex128)
+        coef[32, 0] = 1.0
+        with pytest.raises(ValueError, match="Nyquist"):
+            next(sp.oversampled_rows((sp.SpectralField(grid64, coef),)))
+
+    @pytest.mark.parametrize("p", [1, 3, 4, 8, np.inf])
+    def test_lp_norm_matches_whole_array(self, grid64, p):
+        F = sp.random_band_field(grid64, np.random.default_rng(5), band=20)
+        vals = np.abs(sp.oversampled_values(F, sp.OVERSAMPLE))
+        if np.isinf(p):
+            assert sp.lp_norm(F, p) == vals.max()
+        else:
+            whole = (4 * np.pi**2 * np.mean(vals**p)) ** (1 / p)
+            assert sp.lp_norm(F, p) == pytest.approx(whole, rel=1e-14)
+
+    def test_compute_record_peak_memory(self):
+        # Two whole arrays of the 1024 x 1024 fine grid take 16 MB; the
+        # streamed record stays below that.
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=256, dt=1e-3, t_end=0.0)
+        state = dyn.make_initial(sp.TorusGrid(256), "random-band", band=40)
+        dg.compute_record(state, cfg)
+        assert _traced_peak(lambda: dg.compute_record(state, cfg)) < 16 * 2**20
+
+    def test_lp_norm_peak_memory(self):
+        # One whole 512 x 512 fine-grid array takes 2 MB.
+        F = sp.random_band_field(sp.TorusGrid(128), np.random.default_rng(2), band=40)
+        sp.lp_norm(F, 4)
+        assert _traced_peak(lambda: sp.lp_norm(F, 4)) < 2 * 2**20
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated (tracemalloc) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestActiveBand:
+    @staticmethod
+    def brute_force(F):
+        comp = np.maximum(np.abs(F.grid.k1), np.abs(F.grid.k2))
+        return int(np.max(comp, where=sp.active_modes(F), initial=0))
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_matches_brute_force(self, n):
+        g = sp.TorusGrid(n)
+        rng = np.random.default_rng(n)
+        fields = [sp.random_band_field(g, rng, band=b) for b in (1, 2, n // 3, n // 2 - 1)]
+        fields.append(sp.SpectralField.zeros(g))
+        for k1, k2 in ((0, -3), (-3, 0), (-n // 2, 1), (2, -n // 2), (-1, -1), (-n // 4, 3)):
+            coef = np.zeros((n, n), dtype=np.complex128)
+            coef[k1, k2] = 1.0
+            fields.append(sp.SpectralField(g, coef))
+        for F in fields:
+            assert sp.active_band(F) == self.brute_force(F)
+        assert sp.active_band(fields[-1]) == max(n // 4, 3)
 
 
 def _lattice_builders(tree):
@@ -399,7 +521,7 @@ def test_only_torus_grid_builds_the_lattice():
     for path in sorted(Path(sp.__file__).parent.glob("*.py")):
         for scope in _lattice_builders(ast.parse(path.read_text())):
             builders.setdefault(scope, []).append(path.name)
-    assert builders == {"TorusGrid.__init__": ["spectral.py"]}
+    assert builders == {"TorusGrid.__new__": ["spectral.py"]}
 
 
 class TestSymbolPower:

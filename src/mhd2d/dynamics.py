@@ -18,13 +18,15 @@ A 2/3-dealiased quadratic product is an exact Galerkin truncation
 (Orszag, J. Atmos. Sci. 28:1074, 1971), so this equals the advective form
 of the same equations to round-off.
 
-Inside a step every spectral array is the compact block of the n//3 + 1
-leading half-spectrum columns (|xi_2| <= n/3), n x (n//3 + 1) instead of
-n x (n//2 + 1).  The state is dealiased (MHDState checks it) and every
-tendency is multiplied by the 2/3 mask, so the dropped columns are exactly
-zero at every stage; the transforms skip them (spectral's compact-column
-convention) and the step gives the same bits as full-width transforms.
-The block becomes the full n x n layout only when `step` and
+Inside a step (w, j) is one stacked array of shape (2, n, c + 1), c the
+dealias cutoff: the compact blocks of the c + 1 leading half-spectrum
+columns (|xi_2| <= n/3) of each field.  The state is dealiased (MHDState
+checks it) and every tendency is multiplied by the 2/3 mask, so the
+dropped columns are exactly zero at every stage; the transforms skip them
+(spectral's compact-column convention), one per field, and the step gives
+the same bits as full-width transforms.  The integrating factors are
+stacked alike, so each RK stage and the update are written once for the
+pair.  The blocks become the full n x n layout only when `step` and
 `vorticity_rhs` return.
 """
 
@@ -39,7 +41,6 @@ from . import diagnostics
 from . import spectral as sp
 from .spectral import SpectralField, TorusGrid
 
-INTEGRATOR_TAG = "if-rk4"
 INIT_KINDS = ("orszag-tang", "random-band")
 
 
@@ -109,26 +110,30 @@ class MHDState:
         return self.w.grid
 
 
-def _block(arr, n):
-    """The n//3 + 1 leading half-spectrum columns, the compact block."""
-    return arr[:, : n // 3 + 1]
+def _block(grid: TorusGrid, arr):
+    """The compact block: the leading dealias_cutoff + 1 half-spectrum columns."""
+    return arr[..., : grid.dealias_cutoff + 1]
+
+
+def _pair(state: MHDState):
+    """The compact blocks of (w, j), stacked into one array."""
+    return np.stack([_block(state.grid, f.coef) for f in (state.w, state.j)])
 
 
 @functools.lru_cache(maxsize=32)
 def _half_multipliers(n: int):
-    """Compact-block Biot-Savart (i xi2, -i xi1)/|xi|^2 and the 2/3-masked
-    -i xi1, -i xi2, |xi|^2; all vanish at xi = 0, so means stay exactly 0."""
+    """Compact-block Biot-Savart multipliers and the 2/3-masked -i xi1,
+    -i xi2, |xi|^2; all vanish at xi = 0, so means stay exactly 0."""
     g = TorusGrid(n)
-    kd1, kd2, inv = _block(g.kd1, n), _block(g.kd2, n), _block(g.inv_ksq, n)
-    ksq, mask = _block(g.ksq, n), _block(g.dealias_mask, n)
-    ms = (1j * kd2 * inv, -1j * kd1 * inv, -1j * kd1 * mask, -1j * kd2 * mask, ksq * mask)
-    return tuple(sp._frozen(m) for m in ms)
+    kd1, kd2, ksq, mask = (_block(g, a) for a in (g.kd1, g.kd2, g.ksq, g.dealias_mask))
+    bs = (_block(g, m) for m in sp._biot_savart_symbols(g))
+    return tuple(sp._frozen(m) for m in (*bs, -1j * kd1 * mask, -1j * kd2 * mask, ksq * mask))
 
 
-def _velocities(n: int, wc, jc):
-    """Physical (u1, u2, b1, b2) from compact-block (w, j) by Biot-Savart."""
+def _velocities(n: int, wj):
+    """Physical (u1, u2, b1, b2) from the stacked blocks wj by Biot-Savart."""
     bs1, bs2 = _half_multipliers(n)[:2]
-    return [sp._inverse_columns(m * c, n) for c in (wc, jc) for m in (bs1, bs2)]
+    return [sp._inverse_columns(m * c, n) for c in wj for m in (bs1, bs2)]
 
 
 def _dt_bound(grid: TorusGrid, u1, u2, b1, b2) -> float:
@@ -136,8 +141,9 @@ def _dt_bound(grid: TorusGrid, u1, u2, b1, b2) -> float:
     return np.inf if vmax == 0.0 else 0.5 * grid.spacing / vmax
 
 
-def _nonlinear_half(grid: TorusGrid, wc, jc, t: float, h: float | None = None):
-    """Non-stiff right-hand side of the curl system on compact blocks, at time t.
+def _nonlinear_half(grid: TorusGrid, wj, t: float, h: float | None = None):
+    """Non-stiff right-hand side of the curl system at time t, on the
+    stacked compact blocks wj of (w, j); returns (dw, dj) stacked alike.
 
     dw_hat = -i xi . P[FT(u w - b j)]
     dj_hat = |xi|^2 P[FT(u1 b2 - u2 b1)]
@@ -155,74 +161,60 @@ def _nonlinear_half(grid: TorusGrid, wc, jc, t: float, h: float | None = None):
     n = grid.n
     _, _, dx1, dx2, lap = _half_multipliers(n)
     width = lap.shape[1]
-    u1, u2, b1, b2 = _velocities(n, wc, jc)
+    u1, u2, b1, b2 = _velocities(n, wj)
     if h is not None and h > (bound := _dt_bound(grid, u1, u2, b1, b2)):
         raise SimulationAbort(t, f"advective step bound violated: dt={h:g} > {bound:g}")
-    w, j = (sp._inverse_columns(c, n) for c in (wc, jc))
-    dw = dx1 * sp._forward_columns(u1 * w - b1 * j, width) + dx2 * sp._forward_columns(
-        u2 * w - b2 * j, width
-    )
-    dj = lap * sp._forward_columns(u1 * b2 - u2 * b1, width)
-    if not (np.isfinite(dw).all() and np.isfinite(dj).all()):
+    w, j = (sp._inverse_columns(c, n) for c in wj)
+    dwj = np.empty_like(wj)
+    np.multiply(dx1, sp._forward_columns(u1 * w - b1 * j, width), out=dwj[0])
+    dwj[0] += dx2 * sp._forward_columns(u2 * w - b2 * j, width)
+    np.multiply(lap, sp._forward_columns(u1 * b2 - u2 * b1, width), out=dwj[1])
+    if not np.isfinite(dwj).all():
         raise SimulationAbort(t, "non-finite value in a nonlinear product")
-    return dw, dj
+    return dwj
 
 
 def vorticity_rhs(state: MHDState):
     """Non-stiff part of the curl-system tendency as spectral fields."""
     g = state.grid
-    n = g.n
-    blocks = _nonlinear_half(g, _block(state.w.coef, n), _block(state.j.coef, n), state.t)
-    return tuple(SpectralField(g, sp._hermitian_extend(d, n)) for d in blocks)
+    dwj = _nonlinear_half(g, _pair(state), state.t)
+    return tuple(SpectralField(g, sp._hermitian_extend(d, g.n)) for d in dwj)
 
 
 @functools.lru_cache(maxsize=16)
 def _integrating_factors(n, dt, nu, alpha, eta, beta):
-    """Compact-block exp(-nu|xi|^(2a) dt/2), its square, and the same for
-    (eta, beta); exact linear flow over one step and half step."""
-    grid = TorusGrid(n)
-    lam_w = nu * _block(sp.symbol_power(grid, alpha), n)
-    lam_j = eta * _block(sp.symbol_power(grid, beta), n)
-    return (
-        np.exp(-0.5 * dt * lam_w),
-        np.exp(-dt * lam_w),
-        np.exp(-0.5 * dt * lam_j),
-        np.exp(-dt * lam_j),
-    )
+    """Read-only exp(-L dt/2) and exp(-L dt), L = (nu|xi|^(2a), eta|xi|^(2b))
+    stacked like (w, j): exact linear flow over a half step and a step."""
+    g = TorusGrid(n)
+    lam = np.stack([c * _block(g, sp.symbol_power(g, e)) for c, e in ((nu, alpha), (eta, beta))])
+    return sp._frozen(np.exp(-0.5 * dt * lam)), sp._frozen(np.exp(-dt * lam))
 
 
 def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDState:
-    """Advance one step of integrating-factor RK4, each stage at its own
-    time.  The advective step bound is checked on the stage-1 velocities,
-    at no extra transforms; an abort carries the input state."""
+    """Advance one step of integrating-factor RK4 on the stacked (w, j), each
+    stage at its own time.  The advective step bound is checked on the
+    stage-1 velocities, at no extra transforms; an abort carries the input."""
     g = state.grid
     if g.n != config.n:
         raise sp.GridMismatchError(f"state grid n={g.n} != config n={config.n}")
     h = float(config.dt if dt is None else dt)
-    ewh, ewf, ejh, ejf = _integrating_factors(
+    eh, ef = _integrating_factors(
         g.n, h, float(config.nu), float(config.alpha), float(config.eta), float(config.beta)
     )
-    n = g.n
-    wc, jc, t = _block(state.w.coef, n), _block(state.j.coef, n), state.t
+    wj, t = _pair(state), state.t
 
     th = t + 0.5 * h
     try:
-        k1w, k1j = _nonlinear_half(g, wc, jc, t, h)
-        k2w, k2j = _nonlinear_half(g, ewh * (wc + 0.5 * h * k1w), ejh * (jc + 0.5 * h * k1j), th)
-        k3w, k3j = _nonlinear_half(g, ewh * wc + 0.5 * h * k2w, ejh * jc + 0.5 * h * k2j, th)
-        k4w, k4j = _nonlinear_half(g, ewf * wc + h * ewh * k3w, ejf * jc + h * ejh * k3j, t + h)
+        k1 = _nonlinear_half(g, wj, t, h)
+        k2 = _nonlinear_half(g, eh * (wj + 0.5 * h * k1), th)
+        k3 = _nonlinear_half(g, eh * wj + 0.5 * h * k2, th)
+        k4 = _nonlinear_half(g, ef * wj + h * eh * k3, t + h)
     except SimulationAbort as err:
         err.state = state
         raise
 
-    new_w = ewf * wc + (h / 6.0) * (ewf * k1w + 2.0 * ewh * (k2w + k3w) + k4w)
-    new_j = ejf * jc + (h / 6.0) * (ejf * k1j + 2.0 * ejh * (k2j + k3j) + k4j)
-
-    out = MHDState(
-        t=t + h,
-        w=SpectralField(g, sp._hermitian_extend(new_w, n)),
-        j=SpectralField(g, sp._hermitian_extend(new_j, n)),
-    )
+    new = ef * wj + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+    out = MHDState(t + h, *(SpectralField(g, sp._hermitian_extend(c, g.n)) for c in new))
     old_norm = sp.l2_norm(state.w)
     if old_norm > 0.0 and sp.l2_norm(out.w) > 10.0 * old_norm:
         raise SimulationAbort(t, "vorticity L2 norm grew more than 10x in one step", state)
@@ -232,9 +224,7 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
 def advective_dt_bound(state: MHDState) -> float:
     """0.5 * (grid spacing) / max(||u||_inf, ||b||_inf) on the collocation
     grid, the bound `step` checks; inf when the state is at rest."""
-    n = state.grid.n
-    u1, u2, b1, b2 = _velocities(n, _block(state.w.coef, n), _block(state.j.coef, n))
-    return _dt_bound(state.grid, u1, u2, b1, b2)
+    return _dt_bound(state.grid, *_velocities(state.grid.n, _pair(state)))
 
 
 def run(config: SolverConfig, init: MHDState):

@@ -17,8 +17,6 @@ TAG_THEOREM_12 = "theorem-1.2"
 TAG_THEOREM_51 = "theorem-5.1"
 TAG_OUTSIDE = "outside"
 
-ALL_TAGS = (TAG_THEOREM_11, TAG_THEOREM_12, TAG_THEOREM_51, TAG_OUTSIDE)
-
 
 def classify_regime(alpha: float, beta: float, nu: float, eta: float) -> str:
     """Tag a parameter point by the regime hypotheses it satisfies."""

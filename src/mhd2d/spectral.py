@@ -51,8 +51,12 @@ Where each invariant is checked:
   coefficient counts as transform round-off; `active_band` and
   `littlewood_paley.bernstein_ratio` read it.
 
-All operations are pure: they never mutate their inputs, and the arrays
-wrapped by a field are frozen (writeable=False) at construction.
+Ownership: a field takes over a C-contiguous float64/complex128 array
+without a copy and freezes it in place (writeable=False); it copies any
+other input.  No operation mutates a field, and none writes to its
+inputs except scratch blocks: `oversampled_rows` reuses its yielded
+buffers, `gradient_magnitude_sq` squares them in place, and
+`lp_of_samples` overwrites the blocks it is given.
 """
 
 from __future__ import annotations
@@ -167,7 +171,8 @@ def _check_same_grid(*objs):
 
 @dataclass(frozen=True)
 class RealField:
-    """Real scalar samples on the collocation grid."""
+    """Real scalar samples on the collocation grid; takes over `values` by
+    the module's ownership rule."""
 
     grid: TorusGrid
     values: np.ndarray
@@ -188,7 +193,8 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a real scalar field (Hermitian-symmetric).
+    """Fourier coefficients of a real scalar field (Hermitian-symmetric);
+    takes over `coef` by the module's ownership rule.
 
     The optional third argument, `claim_dealiased`, is checked and not
     stored: if it is true and a coefficient lies outside the 2/3 band,
@@ -200,7 +206,7 @@ class SpectralField:
     claim_dealiased: InitVar[bool] = False
 
     def __post_init__(self, claim_dealiased):
-        c = np.asarray(self.coef, dtype=np.complex128)
+        c = np.ascontiguousarray(self.coef, dtype=np.complex128)  # for the float64 view
         if c.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {c.shape}")
         if not np.isfinite(c.view(np.float64)).all():
@@ -322,6 +328,11 @@ def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
     return SpectralField(F.grid, 1j * k * F.coef)
 
 
+def _biot_savart_symbols(g: TorusGrid):
+    """(i xi_2, -i xi_1)/|xi|^2, and 0 at xi = 0: the zero-mean-velocity gauge."""
+    return 1j * g.kd2 * g.inv_ksq, -1j * g.kd1 * g.inv_ksq
+
+
 def biot_savart(w: SpectralField):
     """Divergence-free velocity with curl u = w and zero mean.
 
@@ -329,24 +340,22 @@ def biot_savart(w: SpectralField):
     """
     if not w.is_zero_mean():
         raise MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
+    return tuple(SpectralField(w.grid, m * w.coef) for m in _biot_savart_symbols(w.grid))
+
+
+def _gradient_coefs(w: SpectralField):
+    """Coefficients of d1u1, d2u1 and d1u2 for the divergence-free u with
+    curl u = w; d2u2 = -d1u1."""
     g = w.grid
-    # inv_ksq leaves u_hat(0) = 0: the zero-mean-velocity gauge.
-    u1 = 1j * g.kd2 * g.inv_ksq * w.coef
-    u2 = -1j * g.kd1 * g.inv_ksq * w.coef
-    return SpectralField(g, u1), SpectralField(g, u2)
+    q = g.inv_ksq * w.coef
+    return -g.k1 * g.k2 * q, -g.k2 * g.k2 * q, g.k1 * g.k1 * q
 
 
 def velocity_gradient(w: SpectralField):
     """The four components (d1u1, d2u1, d1u2, d2u2) of grad u for the
     divergence-free u with curl u = w, straight from the vorticity."""
-    g = w.grid
-    q = g.inv_ksq * w.coef
-    return (
-        SpectralField(g, -g.k1 * g.k2 * q),
-        SpectralField(g, -g.k2 * g.k2 * q),
-        SpectralField(g, g.k1 * g.k1 * q),
-        SpectralField(g, g.k1 * g.k2 * q),
-    )
+    d11, d21, d12 = _gradient_coefs(w)
+    return tuple(SpectralField(w.grid, c) for c in (d11, d21, d12, -d11))
 
 
 def curl(v1: SpectralField, v2: SpectralField) -> SpectralField:
@@ -505,13 +514,11 @@ def lp_norm(F: SpectralField, p: float) -> float:
 def gradient_magnitude_sq(w: SpectralField):
     """Row blocks of |grad u|^2 on the OVERSAMPLE grid for the
     divergence-free u with curl u = w, scratch as in `oversampled_rows`.
-    Three transforms, of d1u1, d2u1 and d1u2 formed as in
-    `velocity_gradient`: d2u2 = -d1u1 holds exactly, so its square is
-    that of d1u1, and the four squares are summed in the order of
-    `pointwise_magnitude_sup`, with the same bits."""
-    g = w.grid
-    q = g.inv_ksq * w.coef
-    comps = [SpectralField(g, c) for c in (-g.k1 * g.k2 * q, -g.k2 * g.k2 * q, g.k1 * g.k1 * q)]
+    Three transforms, of the `_gradient_coefs` d1u1, d2u1 and d1u2:
+    d2u2 = -d1u1 holds exactly, so its square is that of d1u1, and the
+    four squares are summed in the order of `pointwise_magnitude_sup`,
+    with the same bits."""
+    comps = [SpectralField(w.grid, c) for c in _gradient_coefs(w)]
     for d11, d21, d12 in oversampled_rows(comps):
         for v in (d11, d21, d12):
             np.square(v, out=v)

@@ -8,6 +8,7 @@ import pytest
 
 from mhd2d import diagnostics as dg
 from mhd2d import dynamics as dyn
+from mhd2d import littlewood_paley as lp
 from mhd2d import regimes
 from mhd2d import spectral as sp
 
@@ -102,6 +103,31 @@ class TestRatios:
         g = sp.TorusGrid(n)
         ratio = dg.commutator_ratio(modes(g, (1.0, 1, 0)), modes(g, (1.0, 0, 1)), 2.0, exponents)
         assert ratio == pytest.approx(expect, rel=1e-14)
+
+
+class TestZeroMeanPreconditions:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda m, z: dg.gn_ratio(m, 1.5), id="gn_ratio"),
+            pytest.param(
+                lambda m, z: dg.commutator_ratio(z, m, 0.5, (2, np.inf, 2, np.inf)),
+                id="commutator_ratio-s-below-1",
+            ),
+            pytest.param(lambda m, z: lp.sobolev_norm(m, -0.5), id="sobolev_norm-negative-s"),
+            pytest.param(lambda m, z: lp.bony_decompose(m, z), id="bony_decompose"),
+            pytest.param(
+                lambda m, z: lp.product_estimate_ratio(m, z, 0.5, 0.5), id="product_estimate_ratio"
+            ),
+            pytest.param(lambda m, z: lp.log_inequality_ratio(m, 3.0), id="log_inequality_ratio"),
+        ],
+    )
+    def test_a_nonzero_mean_mode_raises(self, call):
+        g = sp.TorusGrid(32)
+        with_mean = modes(g, (1.0, 0, 0), (1.0, 1, 2))
+        zero_mean = modes(g, (1.0, 2, 1))
+        with pytest.raises(sp.MeanModeError):
+            call(with_mean, zero_mean)
 
 
 class TestMonitoredNorms:

@@ -184,6 +184,18 @@ class TestLerayProjection:
         assert p1.coef[0, 0] == 3.0 * 16**2
 
 
+class TestIntegratingFactors:
+    def test_repeat_call_returns_the_same_two_read_only_arrays(self):
+        first = dyn._integrating_factors(32, 1e-3, 0.05, 0.3, 0.05, 1.4)
+        again = dyn._integrating_factors(32, 1e-3, 0.05, 0.3, 0.05, 1.4)
+        assert len(first) == 2
+        for a, b in zip(first, again):
+            assert b is a
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 1, 1] = 0.0
+
+
 class TestStep:
     def test_zero_state_stays_zero(self):
         g = sp.TorusGrid(32)
@@ -225,9 +237,9 @@ class TestStep:
         times = []
         real = dyn._nonlinear_half
 
-        def spy(grid, wc, jc, t, *args):
+        def spy(grid, wj, t, *args):
             times.append(t)
-            return real(grid, wc, jc, t, *args)
+            return real(grid, wj, t, *args)
 
         monkeypatch.setattr(dyn, "_nonlinear_half", spy)
         dyn.step(state, ideal_config(n=32), h)

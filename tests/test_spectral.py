@@ -533,3 +533,35 @@ class TestSymbolPower:
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[1, 1] = 0.0
+
+
+class TestOwnership:
+    """A field takes over a C-contiguous array of its own dtype and freezes
+    it in place; it copies any other input, which stays writeable."""
+
+    KINDS = [(sp.RealField, "values", np.float64), (sp.SpectralField, "coef", np.complex128)]
+
+    @pytest.mark.parametrize("cls, attr, dtype", KINDS)
+    def test_a_contiguous_array_of_its_dtype_is_frozen_in_place(self, grid64, cls, attr, dtype):
+        arr = np.random.default_rng(0).standard_normal((64, 64)).astype(dtype)
+        field = cls(grid64, arr)
+        assert getattr(field, attr) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+    @pytest.mark.parametrize("cls, attr, dtype", KINDS)
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "other-dtype"])
+    def test_any_other_input_is_copied(self, grid64, cls, attr, dtype, layout):
+        big = np.random.default_rng(1).standard_normal((64, 128)).astype(dtype)
+        source = {
+            "fortran": np.asfortranarray(big[:, :64]),
+            "strided": big[:, ::2],
+            "other-dtype": big[:, :64].astype(np.float32 if dtype is np.float64 else np.complex64),
+        }[layout]
+        before = source.copy()
+        field = cls(grid64, source)
+        assert source.flags.writeable
+        source[...] = 0.0
+        np.testing.assert_array_equal(getattr(field, attr), before)
+        assert not getattr(field, attr).flags.writeable

@@ -14,7 +14,9 @@ Little-endian layout:
     j       n*n*(re f64, im f64) same
 
 Round trips are bit-exact.  Reading rejects, with CheckpointFormatError,
-any payload that is not a valid dealiased, zero-mean, Hermitian state.
+a header whose n, exponents or coefficients `SolverConfig` rejects or
+whose t is not finite, and any payload that is not a valid dealiased,
+zero-mean, Hermitian state.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import MHDState
+from .dynamics import MHDState, SolverConfig
 
 MAGIC = b"MHD2"
 VERSION = 1
@@ -83,11 +85,12 @@ def read_checkpoint(path) -> Checkpoint:
     expected = 2 * n * n * 16
     if len(body) != expected:
         raise CheckpointFormatError(f"payload is {len(body)} bytes, expected {expected}")
-    coefs = np.frombuffer(body, dtype="<c16").astype(np.complex128)
-    try:  # a bad n, non-finite coefficients, a non-zero mean mode, or aliased modes
+    coefs = np.frombuffer(body, dtype="<c16").reshape(2, n, n)  # each field copies its half
+    try:  # a bad header value, non-finite coefficients, a non-zero mean mode, or aliased modes
+        SolverConfig(alpha=alpha, beta=beta, nu=nu, eta=eta, n=n)
         grid = sp.TorusGrid(n)
-        w = sp.SpectralField(grid, coefs[: n * n].reshape(n, n))
-        j = sp.SpectralField(grid, coefs[n * n :].reshape(n, n))
+        w = sp.SpectralField(grid, coefs[0])
+        j = sp.SpectralField(grid, coefs[1])
         state = MHDState(t=t, w=w, j=j)
     except ValueError as err:
         raise CheckpointFormatError(str(err)) from err

@@ -90,14 +90,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MHDState:
-    """(vorticity, current) pair at time t; both zero-mean and dealiased
-    (no coefficient outside the grid's dealias_mask)."""
+    """(vorticity, current) pair at a finite time t; both zero-mean and
+    dealiased (no coefficient outside the grid's dealias_mask)."""
 
     t: float
     w: SpectralField
     j: SpectralField
 
     def __post_init__(self):
+        if not np.isfinite(self.t):
+            raise ValueError(f"time must be finite, got {self.t}")
         sp._check_same_grid(self.w, self.j)
         for name, f in (("w", self.w), ("j", self.j)):
             if f.coef[0, 0] != 0.0:

@@ -5,12 +5,10 @@ The dyadic family lives on annuli A_j = {2^(j-1) < |xi| < 2^(j+1)}.  Each
 multiplier starts from one smooth compactly supported radial bump scaled
 by 2^j and is then normalized pointwise on the lattice so the dyadic sum
 is exactly 1 on every resolved xi != 0; lattice exactness is what the
-reconstruction tests lean on.  Block indices outside [j_min, j_max] meet
-no lattice point and are treated as zero fields.
-
-On the integer lattice the smallest nonzero |xi| is 1, so the
-inhomogeneous low-pass multiplier degenerates to the mean mode: the
-j = -1 block is the field's average.
+reconstruction tests lean on.  The family is homogeneous: on the integer
+lattice the smallest nonzero |xi| is 1, so the blocks j = 0 .. j_max
+cover every mode but the mean, and a block index outside that range
+meets no lattice point and is the zero field.
 """
 
 from __future__ import annotations
@@ -35,39 +33,27 @@ def _bump_profile(r: np.ndarray) -> np.ndarray:
 
 
 class DyadicPartition:
-    """Multipliers Phi_j on the annuli A_j for one grid."""
+    """Multipliers Phi_j, j = 0 .. j_max, on the annuli A_j for one grid."""
 
     def __init__(self, grid: TorusGrid):
-        self.j_min = 0
         self.j_max = math.ceil(math.log2(grid.n / 2))
-        raw = np.stack(
-            [_bump_profile(grid.kmag / 2.0**j) for j in range(self.j_min, self.j_max + 1)]
-        )
+        raw = np.stack([_bump_profile(grid.kmag / 2.0**j) for j in self.resolved()])
         total = raw.sum(axis=0)
-        nonzero = grid.ksq > 0
         scale = np.where(total > 0, total, 1.0)
-        phi = np.where(nonzero, raw / scale, 0.0)
-        phi.flags.writeable = False
-        self.phi = phi
+        self.phi = sp._frozen(np.where(grid.ksq > 0, raw / scale, 0.0))
 
     def multiplier(self, j: int) -> np.ndarray | None:
         """Phi_j on the lattice, or None when A_j misses the lattice."""
-        if self.j_min <= j <= self.j_max:
-            return self.phi[j - self.j_min]
-        return None
+        return self.phi[j] if 0 <= j <= self.j_max else None
 
     def resolved(self) -> range:
-        return range(self.j_min, self.j_max + 1)
+        return range(self.j_max + 1)
 
     def partition_residual(self) -> float:
         """max over xi != 0 of |sum_j Phi_j(xi) - 1|."""
         off = np.abs(self.phi.sum(axis=0) - 1.0)
         off[0, 0] = 0.0  # xi = 0
         return float(off.max())
-
-    def max_overlap(self) -> int:
-        """Largest number of blocks touching one lattice mode."""
-        return int((self.phi > 0).sum(axis=0).max())
 
 
 def build_partition(grid: TorusGrid) -> DyadicPartition:
@@ -82,42 +68,25 @@ def _partition(n: int) -> DyadicPartition:
     return DyadicPartition(TorusGrid(n))
 
 
-def dyadic_block(f: SpectralField, j: int, homogeneous: bool = True) -> SpectralField:
-    """Frequency-localized piece of f.
-
-    Homogeneous: multiply by Phi_j (zero field when A_j misses the
-    lattice).  Inhomogeneous: zero for j <= -2, the mean mode for j = -1,
-    Phi_j for j >= 0.
-    """
-    partition = build_partition(f.grid)
-    if not homogeneous:
-        if j <= -2:
-            return SpectralField.zeros(f.grid)
-        if j == -1:
-            mean = np.zeros_like(f.coef)
-            mean[0, 0] = f.coef[0, 0]
-            return SpectralField(f.grid, mean)
-    mult = partition.multiplier(j)
+def dyadic_block(f: SpectralField, j: int) -> SpectralField:
+    """Frequency-localized piece Phi_j f (the zero field when A_j misses
+    the lattice)."""
+    mult = build_partition(f.grid).multiplier(j)
     if mult is None:
         return SpectralField.zeros(f.grid)
     return SpectralField(f.grid, mult * f.coef)
 
 
 def low_pass(f: SpectralField, j: int) -> SpectralField:
-    """Running sum S_j f = sum_{l <= j-1} block_l f (homogeneous family).
+    """Running sum S_j f = sum_{l <= j-1} block_l f.
 
     This is the convention of Bahouri, Chemin and Danchin, Fourier Analysis
     and Nonlinear PDEs (Springer 2011), section 2.2; the paper's abstract in
-    PAPER.md does not settle it.  No block lies below j_min = 0 and none
+    PAPER.md does not settle it.  The blocks start at l = 0 and none
     touches the mean mode, so S_j f = 0 for j <= 0 and S_j f = f - mean(f)
     for j > j_max.  The S_{j-1} of `bony_decompose` is low_pass(f, j-1).
     """
-    partition = build_partition(f.grid)
-    mult = np.zeros((f.grid.n, f.grid.n))
-    for l in partition.resolved():
-        if l <= j - 1:
-            mult += partition.phi[l - partition.j_min]
-    return SpectralField(f.grid, mult * f.coef)
+    return SpectralField(f.grid, build_partition(f.grid).phi[: max(j, 0)].sum(axis=0) * f.coef)
 
 
 @dataclass(frozen=True)
@@ -236,7 +205,9 @@ def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, si
 @dataclass(frozen=True)
 class GradientLogReport:
     """Sup-gradient bound diagnostics: the ratio against the logarithmic
-    bracket, and the low/middle/high block split behind it."""
+    bracket, and the split behind it.  Its low term is `l2_u`; `term_mid`
+    and `term_high` sum the blocked gradient sups below and from
+    `n_split`."""
 
     ratio: float
     grad_sup: float
@@ -244,7 +215,6 @@ class GradientLogReport:
     linf_w: float
     hs_u: float
     n_split: int
-    term_low: float
     term_mid: float
     term_high: float
     high_tail_bound: float
@@ -287,7 +257,6 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
         linf_w=linf_w,
         hs_u=hs_u,
         n_split=n_split,
-        term_low=l2_u,
         term_mid=term_mid,
         term_high=term_high,
         high_tail_bound=2.0 ** (n_split * (2.0 - s)) * hs_u,

@@ -52,8 +52,11 @@ Where each invariant is checked:
   `littlewood_paley.bernstein_ratio` read it.
 
 Ownership: a field takes over a C-contiguous float64/complex128 array
-without a copy and freezes it in place (writeable=False); it copies any
-other input.  No operation mutates a field, and none writes to its
+that owns its data (`base is None`) without a copy and freezes it in
+place (writeable=False); it copies any other input, views included, so
+no base array can write into a field.  A caller that hands an array over
+gives it up and keeps no view of it: such a view would still write into
+the field.  No operation mutates a field, and none writes to its
 inputs except scratch blocks: `oversampled_rows` reuses its yielded
 buffers, `gradient_magnitude_sq` squares them in place, and
 `lp_of_samples` overwrites the blocks it is given.
@@ -95,6 +98,8 @@ class DealiasError(ValueError):
 
 def _frozen(arr):
     arr = np.ascontiguousarray(arr)
+    if arr.base is not None:  # a view: its base would stay writeable
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

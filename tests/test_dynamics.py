@@ -61,6 +61,12 @@ class TestMHDState:
         with pytest.raises(sp.MeanModeError):
             dyn.MHDState(0.0, sp.SpectralField(g, c), sp.SpectralField.zeros(g))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_time_must_be_finite(self, t):
+        g = sp.TorusGrid(16)
+        with pytest.raises(ValueError, match="time must be finite"):
+            dyn.MHDState(t, sp.SpectralField.zeros(g), sp.SpectralField.zeros(g))
+
     def test_coefficients_outside_dealias_band_rejected(self):
         # A real, Hermitian pair at xi = (0, +-15) = (0, +-(n/2 - 1)); the cutoff is 10.
         g = sp.TorusGrid(32)
@@ -466,6 +472,23 @@ class TestCheckpoint:
             raw[ckpt._HEADER.size : ckpt._HEADER.size + 8] = struct.pack("<d", value)
             return raw
 
+        with pytest.raises(ckpt.CheckpointFormatError, match=match):
+            ckpt.read_checkpoint(self._corrupt(tmp_path, edit))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("t", np.nan), ("t", np.inf), ("alpha", -1.0), ("beta", np.inf), ("nu", -1.0),
+         ("eta", np.nan)],
+    )
+    def test_bad_header_value_rejected(self, tmp_path, name, value):
+        # Header doubles after magic, version and n: t, alpha, beta, nu, eta.
+        at = 12 + 8 * ("t", "alpha", "beta", "nu", "eta").index(name)
+
+        def edit(raw):
+            raw[at : at + 8] = struct.pack("<d", value)
+            return raw
+
+        match = "time" if name == "t" else name
         with pytest.raises(ckpt.CheckpointFormatError, match=match):
             ckpt.read_checkpoint(self._corrupt(tmp_path, edit))
 

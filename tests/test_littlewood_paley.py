@@ -23,14 +23,13 @@ def band_field(grid, seed=0, band=30, amp=1.0):
 
 class TestPartition:
     def test_j_range(self, part, grid):
-        assert part.j_min == 0
         assert part.j_max == int(np.ceil(np.log2(grid.n / 2)))
 
     def test_partition_of_unity_residual(self, part):
         assert part.partition_residual() < 1e-14
 
     def test_at_most_two_blocks_per_mode(self, part):
-        assert part.max_overlap() <= 2
+        assert (part.phi > 0).sum(axis=0).max() <= 2
 
     def test_support_inside_dyadic_annulus(self, part, grid):
         for j in part.resolved():
@@ -61,28 +60,6 @@ class TestBlocks:
             total += lp.dyadic_block(f, j).coef
         assert np.max(np.abs(total - f.coef)) / np.max(np.abs(f.coef)) < 1e-12
 
-    def test_inhomogeneous_reconstruction_with_mean(self, grid, part):
-        coef = band_field(grid, seed=6, band=40).coef.copy()
-        coef[0, 0] = 2.5 * grid.n**2
-        f = sp.SpectralField(grid, coef)
-        total = lp.dyadic_block(f, -1, homogeneous=False).coef.copy()
-        for j in part.resolved():
-            total += lp.dyadic_block(f, j, homogeneous=False).coef
-        assert np.max(np.abs(total - f.coef)) / np.max(np.abs(f.coef)) < 1e-12
-
-    def test_inhomogeneous_minus_one_is_the_mean_mode(self, grid):
-        coef = band_field(grid, seed=9).coef.copy()
-        coef[0, 0] = -1.5 * grid.n**2
-        out = lp.dyadic_block(sp.SpectralField(grid, coef), -1, homogeneous=False)
-        expected = np.zeros_like(coef)
-        expected[0, 0] = coef[0, 0]
-        assert np.array_equal(out.coef, expected)
-
-    def test_inhomogeneous_below_minus_one_is_zero(self, grid):
-        f = band_field(grid, seed=7)
-        out = lp.dyadic_block(f, -2, homogeneous=False)
-        assert np.max(np.abs(out.coef)) == 0.0
-
     def test_block_disjointness_exact(self, grid):
         f = band_field(grid, seed=8, band=40)
         for j, k in ((0, 2), (3, 5), (1, 6), (2, 4)):
@@ -98,7 +75,7 @@ class TestBlocks:
 
     def test_low_pass_accumulates_blocks(self, grid, part):
         # S_j f = sum_{l <= j-1} Delta_l f (Bahouri-Chemin-Danchin 2.2): the
-        # blocks j_min..j-1 for the j passed.  So j <= 0 sums no block, and
+        # blocks 0..j-1 for the j passed.  So j <= 0 sums no block, and
         # j > j_max sums all of them, which is f without its mean mode.
         coef = band_field(grid, seed=9, band=40).coef.copy()
         scale = np.max(np.abs(coef))
@@ -106,7 +83,7 @@ class TestBlocks:
         f = sp.SpectralField(grid, coef)
         for j in range(-1, part.j_max + 3):
             manual = np.zeros_like(f.coef)
-            for l in range(part.j_min, j):
+            for l in range(0, j):
                 manual += lp.dyadic_block(f, l).coef
             low = lp.low_pass(f, j)
             assert np.max(np.abs(low.coef - manual)) / scale < 1e-13, j

@@ -5,6 +5,7 @@ run.py is not imported, because it sets environment variables.
 """
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -16,7 +17,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from mhd2d import dynamics  # noqa: E402
+from mhd2d import diagnostics, dynamics, littlewood_paley as lp  # noqa: E402
+from mhd2d import spectral as sp  # noqa: E402
 
 
 def test_traced_targets_resolve():
@@ -29,6 +31,30 @@ def test_references_match_the_workload_spec(name):
     wl = workloads.WORKLOADS[name]
     entries = workloads.load_references(wl)
     assert sorted(entries) == sorted(str(k) for k in range(wl.pool))
+
+
+def test_reference_columns_are_record_columns():
+    with open(workloads.REFERENCES) as fh:
+        stored = json.load(fh)
+    columns = {col for wl in stored.values() for e in wl["entries"].values() for col in e["record"]}
+    assert columns and columns <= set(diagnostics.RECORD_COLUMNS)
+
+
+def test_rb128_pool_entry_0_matches_its_reference():
+    # One full episode, every record checked and the final record compared
+    # with references.json at workloads.REF_RTOL.
+    wl = workloads.WORKLOADS["rb128-t12-dense"]
+    tally = workloads.Tally()
+    wl.episode(0, tally, ref=workloads.load_references(wl)["0"])
+    assert tally.failed == 0, tally.problems
+    # Every record arrived, so the episode ran to its end and met the reference.
+    assert tally.attempted == wl.episode_steps // wl.output_every + 1
+
+
+def test_dyadic_partition_builds_from_a_grid():
+    # The harness's partition probe times DyadicPartition(grid).
+    part = lp.DyadicPartition(sp.TorusGrid(128))
+    assert part.phi.shape == (part.j_max + 1, 128, 128)
 
 
 def test_perturbed_orszag_tang_initial_state_steps():

@@ -536,8 +536,9 @@ class TestSymbolPower:
 
 
 class TestOwnership:
-    """A field takes over a C-contiguous array of its own dtype and freezes
-    it in place; it copies any other input, which stays writeable."""
+    """A field takes over a C-contiguous array of its own dtype that owns its
+    data and freezes it in place; it copies any other input, which stays
+    writeable."""
 
     KINDS = [(sp.RealField, "values", np.float64), (sp.SpectralField, "coef", np.complex128)]
 
@@ -551,13 +552,14 @@ class TestOwnership:
             arr[0, 0] = 0.0
 
     @pytest.mark.parametrize("cls, attr, dtype", KINDS)
-    @pytest.mark.parametrize("layout", ["fortran", "strided", "other-dtype"])
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "other-dtype", "contiguous-view"])
     def test_any_other_input_is_copied(self, grid64, cls, attr, dtype, layout):
         big = np.random.default_rng(1).standard_normal((64, 128)).astype(dtype)
         source = {
             "fortran": np.asfortranarray(big[:, :64]),
             "strided": big[:, ::2],
             "other-dtype": big[:, :64].astype(np.float32 if dtype is np.float64 else np.complex64),
+            "contiguous-view": big.reshape(128, 64)[64:],  # writes to `source` write to `big`
         }[layout]
         before = source.copy()
         field = cls(grid64, source)

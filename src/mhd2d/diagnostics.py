@@ -76,20 +76,32 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
     diss_u, diff_b, hbeta_j = budget_integrand(state, config)
     h2beta_b = _curl_sobolev_sq(j, 2.0 * config.beta)
 
-    # One pass over the OVERSAMPLE grid's row blocks.  |w|^4, then |w|^8
-    # as its square, in place; |w|^4 is summed as in `sp.lp_norm`, so the
-    # two agree bit for bit.  np.maximum keeps a NaN for the check below.
+    # One pass over the OVERSAMPLE grid's row blocks of w, d1u1 and the
+    # strain sigma = d1u2 + d2u1.  In 2D d2u2 = -d1u1 and w = d1u2 - d2u1,
+    # so |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2: three transforms for
+    # w and grad u.  |w|^4 and |w|^8 are |w| squared two and three times
+    # in place, the way `sp.lp_of_samples` takes p = 4 and 8, and summed
+    # as there, so lp4_w and lp8_w equal `sp.lp_norm` bit for bit.
+    # np.maximum keeps a NaN for the check below.
+    c11, c21, c12 = sp._gradient_coefs(w)
+    parts = (w, SpectralField(g, c11), SpectralField(g, c12 + c21))
     top_w = top_grad_sq = 0.0
     sum4 = sum8 = 0.0
     count = 0
-    for (v,), grad_sq in zip(sp.oversampled_rows((w,)), sp.gradient_magnitude_sq(w)):
+    for v, d11, sigma in sp.oversampled_rows(parts):
         np.abs(v, out=v)
         top_w = np.maximum(top_w, v.max())
-        v **= 4
-        sum4 += float(np.sum(v))
+        np.square(v, out=v)
+        np.square(sigma, out=sigma)
+        sigma += v
+        sigma *= 0.5
+        np.square(d11, out=d11)
+        d11 += d11
+        d11 += sigma  # |grad u|^2
+        top_grad_sq = np.maximum(top_grad_sq, d11.max())
+        sum4 += float(np.sum(np.square(v, out=v)))
         sum8 += float(np.sum(np.square(v, out=v)))
         count += v.size
-        top_grad_sq = np.maximum(top_grad_sq, grad_sq.max())
     lp4_w = sp.lp_of_power_mean(sum4 / count, 4)
     lp8_w = sp.lp_of_power_mean(sum8 / count, 8)
 

@@ -28,6 +28,13 @@ the same bits as full-width transforms.  The integrating factors are
 stacked alike, so each RK stage and the update are written once for the
 pair.  The blocks become the full n x n layout only when `step` and
 `vorticity_rhs` return.
+
+Each `step` makes one workspace (`_workspace`) and passes it to its four
+stages.  Every product, flux and transform of a stage writes into it with
+`out=`, in the order of the plain expressions, so the bits do not change;
+each flux is transformed as soon as it is formed, so one flux array
+serves all three.  The workspace is not cached, so no n x n scratch
+outlives a step.
 """
 
 from __future__ import annotations
@@ -132,20 +139,48 @@ def _half_multipliers(n: int):
     return tuple(sp._frozen(m) for m in (*bs, -1j * kd1 * mask, -1j * kd2 * mask, ksq * mask))
 
 
-def _velocities(n: int, wj):
-    """Physical (u1, u2, b1, b2) from the stacked blocks wj by Biot-Savart."""
-    bs1, bs2 = _half_multipliers(n)[:2]
-    return [sp._inverse_columns(m * c, n) for c in wj for m in (bs1, bs2)]
+def _workspace(n: int):
+    """Scratch for one step: 8 n x n real arrays (u1, u2, b1, b2, w, j, one
+    flux, one temporary) and a zero-tailed n x (n/2 + 1) half spectrum."""
+    return np.empty((8, n, n)), np.zeros((n, n // 2 + 1), dtype=np.complex128)
 
 
-def _dt_bound(grid: TorusGrid, u1, u2, b1, b2) -> float:
-    vmax = np.sqrt(max((u1 * u1 + u2 * u2).max(), (b1 * b1 + b2 * b2).max()))
+def _velocities(n: int, wj, ws, coef):
+    """Physical (u1, u2, b1, b2) from the stacked blocks wj by Biot-Savart,
+    into the first four arrays of the workspace ws; `coef` is a scratch
+    block shaped like wj[0]."""
+    real, half = ws
+    bs = _half_multipliers(n)[:2]
+    for c, pair in zip(wj, (real[:2], real[2:4])):
+        for m, out in zip(bs, pair):
+            sp._inverse_columns(np.multiply(m, c, out=coef), n, out=out, half=half)
+
+
+def _dt_bound(grid: TorusGrid, ws) -> float:
+    """0.5*spacing/max(|u|, |b|) from the velocities in the workspace ws."""
+    u1, u2, b1, b2, _, _, flux, tmp = ws[0]
+    sq_tops = []
+    for a1, a2 in ((u1, u2), (b1, b2)):
+        np.multiply(a1, a1, out=flux)
+        flux += np.multiply(a2, a2, out=tmp)
+        sq_tops.append(flux.max())
+    vmax = np.sqrt(max(sq_tops))
     return np.inf if vmax == 0.0 else 0.5 * grid.spacing / vmax
 
 
-def _nonlinear_half(grid: TorusGrid, wj, t: float, h: float | None = None):
+def _flux_columns(ws, a, b, c, d, out):
+    """Leading columns of the forward transform of a*b - c*d, formed in
+    the workspace's flux array; `out` takes them."""
+    _, _, _, _, _, _, flux, tmp = ws[0]
+    np.multiply(a, b, out=flux)
+    flux -= np.multiply(c, d, out=tmp)
+    return sp._forward_columns(flux, out.shape[1], out=out, half=ws[1])
+
+
+def _nonlinear_half(grid: TorusGrid, wj, t: float, ws, h: float | None = None):
     """Non-stiff right-hand side of the curl system at time t, on the
     stacked compact blocks wj of (w, j); returns (dw, dj) stacked alike.
+    ws is the step's workspace; every transform runs in it.
 
     dw_hat = -i xi . P[FT(u w - b j)]
     dj_hat = |xi|^2 P[FT(u1 b2 - u2 b1)]
@@ -162,15 +197,17 @@ def _nonlinear_half(grid: TorusGrid, wj, t: float, h: float | None = None):
     """
     n = grid.n
     _, _, dx1, dx2, lap = _half_multipliers(n)
-    width = lap.shape[1]
-    u1, u2, b1, b2 = _velocities(n, wj)
-    if h is not None and h > (bound := _dt_bound(grid, u1, u2, b1, b2)):
-        raise SimulationAbort(t, f"advective step bound violated: dt={h:g} > {bound:g}")
-    w, j = (sp._inverse_columns(c, n) for c in wj)
+    u1, u2, b1, b2, w, j, _, _ = ws[0]
     dwj = np.empty_like(wj)
-    np.multiply(dx1, sp._forward_columns(u1 * w - b1 * j, width), out=dwj[0])
-    dwj[0] += dx2 * sp._forward_columns(u2 * w - b2 * j, width)
-    np.multiply(lap, sp._forward_columns(u1 * b2 - u2 * b1, width), out=dwj[1])
+    d0, d1 = dwj  # also the Biot-Savart scratch, until the tendencies land
+    _velocities(n, wj, ws, d0)
+    if h is not None and h > (bound := _dt_bound(grid, ws)):
+        raise SimulationAbort(t, f"advective step bound violated: dt={h:g} > {bound:g}")
+    for c, out in zip(wj, (w, j)):
+        sp._inverse_columns(c, n, out=out, half=ws[1])
+    np.multiply(dx1, _flux_columns(ws, u1, w, b1, j, d0), out=d0)
+    d0 += np.multiply(dx2, _flux_columns(ws, u2, w, b2, j, d1), out=d1)
+    np.multiply(lap, _flux_columns(ws, u1, b2, u2, b1, d1), out=d1)
     if not np.isfinite(dwj).all():
         raise SimulationAbort(t, "non-finite value in a nonlinear product")
     return dwj
@@ -179,7 +216,7 @@ def _nonlinear_half(grid: TorusGrid, wj, t: float, h: float | None = None):
 def vorticity_rhs(state: MHDState):
     """Non-stiff part of the curl-system tendency as spectral fields."""
     g = state.grid
-    dwj = _nonlinear_half(g, _pair(state), state.t)
+    dwj = _nonlinear_half(g, _pair(state), state.t, _workspace(g.n))
     return tuple(SpectralField(g, sp._hermitian_extend(d, g.n)) for d in dwj)
 
 
@@ -195,7 +232,9 @@ def _integrating_factors(n, dt, nu, alpha, eta, beta):
 def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDState:
     """Advance one step of integrating-factor RK4 on the stacked (w, j), each
     stage at its own time.  The advective step bound is checked on the
-    stage-1 velocities, at no extra transforms; an abort carries the input."""
+    stage-1 velocities, at no extra transforms; an abort carries the input.
+    The four stages share one workspace, made here and freed before the
+    update."""
     g = state.grid
     if g.n != config.n:
         raise sp.GridMismatchError(f"state grid n={g.n} != config n={config.n}")
@@ -204,13 +243,15 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
         g.n, h, float(config.nu), float(config.alpha), float(config.eta), float(config.beta)
     )
     wj, t = _pair(state), state.t
+    ws = _workspace(g.n)
 
     th = t + 0.5 * h
     try:
-        k1 = _nonlinear_half(g, wj, t, h)
-        k2 = _nonlinear_half(g, eh * (wj + 0.5 * h * k1), th)
-        k3 = _nonlinear_half(g, eh * wj + 0.5 * h * k2, th)
-        k4 = _nonlinear_half(g, ef * wj + h * eh * k3, t + h)
+        k1 = _nonlinear_half(g, wj, t, ws, h)
+        k2 = _nonlinear_half(g, eh * (wj + 0.5 * h * k1), th, ws)
+        k3 = _nonlinear_half(g, eh * wj + 0.5 * h * k2, th, ws)
+        k4 = _nonlinear_half(g, ef * wj + h * eh * k3, t + h, ws)
+        del ws  # freed before the update allocates, so the two peaks do not add
     except SimulationAbort as err:
         err.state = state
         raise
@@ -226,7 +267,10 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
 def advective_dt_bound(state: MHDState) -> float:
     """0.5 * (grid spacing) / max(||u||_inf, ||b||_inf) on the collocation
     grid, the bound `step` checks; inf when the state is at rest."""
-    return _dt_bound(state.grid, *_velocities(state.grid.n, _pair(state)))
+    g, wj = state.grid, _pair(state)
+    ws = _workspace(g.n)
+    _velocities(g.n, wj, ws, np.empty_like(wj[0]))
+    return _dt_bound(g, ws)
 
 
 def run(config: SolverConfig, init: MHDState):

@@ -149,8 +149,27 @@ class TestMonitoredNorms:
         rec = dg.compute_record(state, cfg)
         assert rec.lp4_w == sp.lp_norm(state.w, 4)
         assert rec.linf_w == sp.lp_norm(state.w, np.inf)
-        # |w|^8 is the square of |w|^4 in the record, a power of 8 in lp_norm.
-        assert rec.lp8_w == pytest.approx(sp.lp_norm(state.w, 8), rel=1e-12)
+        assert rec.lp8_w == sp.lp_norm(state.w, 8)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("kind", ["orszag-tang", "random-band"])
+    def test_record_gradient_sup_matches_gradient_sup(self, kind, n):
+        # The record takes |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2, with
+        # sigma = d1u2 + d2u1; gradient_sup sums the four squared components.
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=n, dt=1e-3, t_end=0.0)
+        state = dyn.make_initial(sp.TorusGrid(n), kind, seed=n, band=8)
+        rec = dg.compute_record(state, cfg)
+        assert rec.linf_grad_u == pytest.approx(sp.gradient_sup(state.w), rel=1e-14)
+
+    def test_record_gradient_sup_of_a_cellular_flow(self, grid64):
+        # w = cos x1 cos x2: |grad u|^2 = (sin^2 x1 sin^2 x2 + cos^2 x1 cos^2 x2)/2,
+        # whose largest value 1/2 is taken at the grid point x = 0.
+        w = modes(grid64, (0.5, 1, 1), (0.5, 1, -1))
+        state = dyn.MHDState(0.0, w, sp.SpectralField.zeros(grid64))
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0)
+        rec = dg.compute_record(state, cfg)
+        assert rec.linf_grad_u == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
+        assert next(sp.gradient_magnitude_sq(w))[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["orszag-tang", "random-band"])
     def test_budget_residual_of_a_state_at_rest(self, kind):
@@ -171,7 +190,7 @@ class TestMonitoredNorms:
         def poisoned(a, *args, **kwargs):
             out = real(a, *args, **kwargs)
             calls.append(a.shape)
-            if len(calls) == 6:  # w block 0, 3 gradient parts, w block 1, then d1u1
+            if len(calls) == 6:  # w, d1u1, strain per block: block 1's strain
                 out[1, 2] = np.nan
             return out
 

@@ -1,7 +1,9 @@
 """Tests for the vorticity-current dynamics, stepping, and checkpoints."""
 
+import collections
 import dataclasses
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -118,25 +120,27 @@ class TestVorticityRHS:
         assert np.max(np.abs(cj.coef + lin_j - dj.coef)) / np.max(np.abs(dj.coef)) < 1e-10
 
     def test_fft_budget(self, monkeypatch):
-        # 6 inverse + 3 forward transforms per stage; the per-step advective
-        # bound reuses the stage-1 velocities, so a step is exactly 4 stages.
+        # 6 inverse + 3 forward transforms per stage, each a complex pass
+        # along axis 0 and a real pass along axis 1, with no 2D call; the
+        # per-step advective bound reuses the stage-1 velocities, so a step
+        # is exactly 4 stages.
         state = random_state(n=32, band=10, seed=6)
-        calls = []
+        calls = collections.Counter()
 
-        def counting(real):
+        def counting(name, real):
             def wrapped(*args, **kwargs):
-                calls.append(real)
+                calls[name] += 1
                 return real(*args, **kwargs)
 
             return wrapped
 
-        for name in ("rfft2", "irfft2"):
-            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        for name in ("ifft", "irfft", "fft", "rfft", "ifft2", "irfft2", "fft2", "rfft2"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         dyn.vorticity_rhs(state)
-        assert len(calls) == 9
+        assert calls == {"ifft": 6, "irfft": 6, "rfft": 3, "fft": 3}
         calls.clear()
         dyn.step(state, ideal_config(n=32))
-        assert len(calls) == 36
+        assert calls == {"ifft": 24, "irfft": 24, "rfft": 12, "fft": 12}
 
     def test_primitive_abort_reports_the_state_time(self):
         # Coefficients of about 1e200 overflow the quadratic products.
@@ -250,6 +254,25 @@ class TestStep:
         monkeypatch.setattr(dyn, "_nonlinear_half", spy)
         dyn.step(state, ideal_config(n=32), h)
         assert times == [0.3, 0.3 + h / 2, 0.3 + h / 2, 0.3 + h]
+
+    def test_the_workspace_does_not_outlive_its_step(self):
+        # The per-n multiplier caches outlive every step by design, so they
+        # are filled first.  A step then keeps only its new state, and its
+        # scratch (8 n x n real arrays and a half spectrum) stays bounded.
+        n = 256
+        cfg = ideal_config(n=n, eta=0.05, beta=1.75)
+        state = random_state(n=n, band=12, seed=4)
+        dyn._half_multipliers(n)
+        dyn._integrating_factors(n, cfg.dt, cfg.nu, cfg.alpha, cfg.eta, cfg.beta)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = dyn.step(state, cfg)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 1.1 * (out.w.coef.nbytes + out.j.coef.nbytes)
+        assert peak < 16e6
 
     def test_advective_bound_checked_every_step(self):
         state = dataclasses.replace(random_state(n=32, band=10, seed=3, amp=5.0), t=0.7)

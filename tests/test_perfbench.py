@@ -40,15 +40,25 @@ def test_reference_columns_are_record_columns():
     assert columns and columns <= set(diagnostics.RECORD_COLUMNS)
 
 
-def test_rb128_pool_entry_0_matches_its_reference():
+def _full_episode_meets_reference(name):
     # One full episode, every record checked and the final record compared
     # with references.json at workloads.REF_RTOL.
-    wl = workloads.WORKLOADS["rb128-t12-dense"]
+    wl = workloads.WORKLOADS[name]
     tally = workloads.Tally()
     wl.episode(0, tally, ref=workloads.load_references(wl)["0"])
     assert tally.failed == 0, tally.problems
     # Every record arrived, so the episode ran to its end and met the reference.
     assert tally.attempted == wl.episode_steps // wl.output_every + 1
+
+
+def test_rb128_pool_entry_0_matches_its_reference():
+    _full_episode_meets_reference("rb128-t12-dense")
+
+
+def test_ot256_pool_entry_0_matches_its_reference():
+    # The n = 256 step path; a short benchmark run may finish no whole
+    # ot256 episode and so compare none with its reference.
+    _full_episode_meets_reference("ot256-sparse")
 
 
 def test_dyadic_partition_builds_from_a_grid():

@@ -353,6 +353,24 @@ class TestCompactColumns:
             assert np.array_equal(sp._forward_columns(x, width), ref[:, :width])
 
     @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_one_scratch_serves_alternating_transforms(self, n):
+        # A stage runs all its transforms through one zero-tailed half
+        # spectrum; each result stays that of rfft2/irfft2, bit for bit.
+        rng = np.random.default_rng(n + 3)
+        width = n // 3 + 1
+        half = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+        samples, cols = np.empty((n, n)), np.empty((n, width), dtype=np.complex128)
+        for _ in range(2):
+            x = rng.standard_normal((n, n))
+            assert sp._forward_columns(x, width, out=cols, half=half) is cols
+            assert np.array_equal(cols, np.fft.rfft2(x)[:, :width])
+            assert not half[:, width:].any()
+            padded = np.zeros_like(half)
+            padded[:, :width] = cols
+            assert sp._inverse_columns(cols, n, out=samples, half=half) is samples
+            assert np.array_equal(samples, np.fft.irfft2(padded, s=(n, n)))
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
     def test_hermitian_extend_of_leading_columns(self, n):
         half = np.fft.rfft2(np.random.default_rng(n + 2).standard_normal((n, n)))
         for width in range(1, n // 2 + 2):
@@ -384,9 +402,9 @@ class TestCompactColumns:
         assert float(np.sqrt(four.max())) == sp.pointwise_magnitude_sup(grads)
         assert float(np.sqrt(four.max())) == sp.gradient_sup(w)
 
-    def test_compute_record_makes_four_transforms(self, monkeypatch):
-        # One real pass over the OVERSAMPLE grid each for w and the three
-        # gradient components, and no whole-array transform.
+    def test_compute_record_makes_three_transforms(self, monkeypatch):
+        # One real pass over the OVERSAMPLE grid each for w, d1u1 and the
+        # strain d1u2 + d2u1, and no whole-array transform.
         cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=0.0)
         state = dyn.make_initial(sp.TorusGrid(32), "random-band", band=8)
         m = sp.OVERSAMPLE * 32
@@ -403,7 +421,7 @@ class TestCompactColumns:
         for name in ("rfft2", "irfft2"):
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), whole))
         dg.compute_record(state, cfg)
-        assert sum(rows) == 4 * m
+        assert sum(rows) == 3 * m
         assert whole == []
 
 

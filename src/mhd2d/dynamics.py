@@ -90,7 +90,7 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
-        if self.output_every < 1:
+        if not isinstance(self.output_every, (int, np.integer)) or self.output_every < 1:
             raise ValueError("output_every must be a positive integer")
         sp.check_grid_size(self.n)
 

@@ -234,10 +234,9 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
         raise ValueError(f"regularity s must exceed 2, got {s}")
     partition = build_partition(w.grid)
     u1, u2 = sp.biot_savart(w)
-    grad_sup = sp.gradient_sup(w)
+    linf_w, grad_sup = sp.vorticity_gradient_sups(w)
     l2_u = math.sqrt(sp.l2_norm_sq(u1) + sp.l2_norm_sq(u2))
     hs_u = math.sqrt(sum(sobolev_norm(F, s, homogeneous=False) ** 2 for F in (u1, u2)))
-    linf_w = sp.lp_norm(w, np.inf)
     denom = l2_u + linf_w * math.log2(2.0 + hs_u) + 1.0
     ratio = grad_sup / denom
 

@@ -13,41 +13,36 @@ Conventions used throughout the package:
       ||f||_{L^2}^2 = (2*pi)^2 * n^-4 * sum |coef|^2
   (the L^2 norm is over [0, 2*pi)^2, not the mean square).
 * Real fields are kept exactly real by doing the physical<->spectral
-  round trips with rfft2/irfft2 and extending the half spectrum by
+  round trips with real 1D transforms and extending the half spectrum by
   Hermitian symmetry, which also keeps coef(-xi) == conj(coef(xi))
   exact at the bit level.
 * Compact columns.  A band-limited field occupies only the leading
   columns 0 .. width-1 of its half spectrum (width = n//3 + 1 for a
   2/3-dealiased field).  A real 2D transform is a complex pass along
   axis 0, one 1D transform per half-spectrum column, and a real pass
-  along axis 1.  `_inverse_columns` and `_forward_columns` run the
-  complex pass on the leading columns only.  Every skipped column is
-  exactly zero and every 1D transform that runs is the one rfft2/irfft2
-  would run, so the results are bit-identical to the full-width
-  transforms.  `inverse`, `oversampled_values` and `oversampled_rows`
-  share this one pruned complex pass, `_fine_columns`.
-* Zero-tailed half spectrum.  The real inverse pass reads a full-width
-  (rows, m//2 + 1) half spectrum whose columns after the leading ones
-  are zero.  numpy's irfft pads a short input with the same zeros, so
-  the bits are those of the short input, but it runs faster on the
-  padded one (by 7 to 25% on 4x-grid row blocks at n = 128 to 512, numpy
-  2.4 pocketfft on a 2-core Xeon).  The complex pass writes its columns
-  into the leading part, so one buffer is its output and the real pass's
-  input.  `_inverse_columns` and `_forward_columns` take this buffer and
-  their outputs from the caller (`dynamics` passes one workspace per
-  step); `_forward_columns` uses the buffer for its rfft output and
-  zeroes the tail again before it returns.
+  along axis 1.  Every transform in the package runs these two passes on
+  the leading columns only, in `_inverse_columns`, `_forward_columns` or
+  `oversampled_rows`; `_fine_columns` zero-pads a field's columns to the
+  rows of a finer grid.  Every skipped column is exactly zero and every
+  1D transform that runs is the one rfft2/irfft2 would run, so the
+  results are bit-identical to the full-width transforms.
+* Zero-tailed half spectrum.  irfft pads a short input with zeros, with
+  the same bits, but runs faster on a full-width (rows, m//2 + 1) input
+  whose tail is zero already (by 7 to 25% on 4x-grid row blocks at
+  n = 128 to 512, numpy 2.4 pocketfft on a 2-core Xeon).  So a reused
+  buffer (the step's workspace, the pads of `oversampled_rows`) takes
+  the complex pass in its leading columns; a one-off transform reads its
+  short complex pass rather than allocate a zero tail.
 * Row blocks.  A sup or L^p (p != 2) norm on the OVERSAMPLE grid needs
   only a max or a sum, so it never holds the whole fine-grid array:
   `oversampled_rows` runs the real pass ROW_BLOCK fine rows at a time,
-  each from a zero-tailed half spectrum of its own per field, and
-  `lp_norm`, `gradient_magnitude_sq`, `pointwise_magnitude_sup` and
-  `diagnostics.compute_record` reduce each block as it comes.  A real
-  pass along axis 1 treats each row on its own, so the rows are those of
-  `oversampled_values`, bit for bit.  The yielded buffers are scratch:
-  the next block overwrites them.  Products of fields (the commutator,
-  paraproduct, positivity and product diagnostics) still take whole
-  arrays from `oversampled_values`.
+  each from a zero-tailed half spectrum of its own per field, bit for
+  bit the rows of `oversampled_values`, and `lp_norm`,
+  `pointwise_magnitude_sup` and `vorticity_gradient_rows` (the one
+  source of w and |grad u|^2 on that grid) reduce each block as it
+  comes.  The yielded buffers are scratch: the next block overwrites
+  them.  Products of fields (the commutator, paraproduct, positivity and
+  product diagnostics) still take whole arrays from `oversampled_values`.
 
 Where each invariant is checked:
 
@@ -69,8 +64,8 @@ no base array can write into a field.  A caller that hands an array over
 gives it up and keeps no view of it: such a view would still write into
 the field.  No operation mutates a field, and none writes to its
 inputs except scratch blocks: `oversampled_rows` reuses its yielded
-buffers, `gradient_magnitude_sq` squares them in place, and
-`lp_of_samples` overwrites the blocks it is given.
+buffers, `vorticity_gradient_rows` overwrites them with |grad u|^2, and
+`power_sum` and `lp_of_samples` overwrite the blocks they are given.
 """
 
 from __future__ import annotations
@@ -84,8 +79,8 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # Grid refinement for sup and L^p (p != 2) norms: `lp_norm`,
-# `gradient_magnitude_sq`, `pointwise_magnitude_sup` and the monitored
-# norms of `diagnostics.compute_record` evaluate on an OVERSAMPLE*n grid.
+# `vorticity_gradient_rows` and `pointwise_magnitude_sup` evaluate on an
+# OVERSAMPLE*n grid.
 OVERSAMPLE = 4
 # Fine-grid rows per block of `oversampled_rows`.
 ROW_BLOCK = 32
@@ -116,10 +111,10 @@ def _frozen(arr):
 
 
 def check_grid_size(n: int) -> int:
-    """n as an int if it is a valid grid size (a power of two >= 8),
-    else ValueError."""
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+    """n as an int if it is a valid grid size (an integer power of two
+    >= 8; numpy integers count), else ValueError."""
+    if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be an integer power of two >= 8, got {n!r}")
     return int(n)
 
 
@@ -285,10 +280,11 @@ def _inverse_columns(block: np.ndarray, m: int, out=None, half=None) -> np.ndarr
     """m x m real samples from the leading half-spectrum columns `block`
     (m rows, the columns not given are zero); irfft2 bit for bit.
 
-    `out` takes the samples; `half` is a zero-tailed (m, m//2 + 1) complex
-    scratch whose columns from block.shape[1] on are zero, and stay so."""
+    `out` takes the samples; `half` is a complex scratch of m rows whose
+    columns from block.shape[1] on are zero, and stay so: a zero-tailed
+    (m, m//2 + 1) one, or `block` itself, which the complex pass overwrites."""
     if half is None:
-        half = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+        return np.fft.irfft(np.fft.ifft(block, axis=0), n=m, axis=1, out=out)
     np.fft.ifft(block, axis=0, out=half[:, : block.shape[1]])
     return np.fft.irfft(half, n=m, axis=1, out=out)
 
@@ -298,9 +294,7 @@ def _forward_columns(values: np.ndarray, width: int, out=None, half=None) -> np.
 
     `out` takes the (n, width) columns; `half` is an (n, n//2 + 1) complex
     scratch, zero-tailed beyond `width` again on return."""
-    if half is None:
-        half = np.empty((values.shape[0], values.shape[1] // 2 + 1), dtype=np.complex128)
-    np.fft.rfft(values, axis=1, out=half)
+    half = np.fft.rfft(values, axis=1, out=half)
     out = np.fft.fft(half[:, :width], axis=0, out=out)
     half[:, width:] = 0.0
     return out
@@ -308,8 +302,8 @@ def _forward_columns(values: np.ndarray, width: int, out=None, half=None) -> np.
 
 def forward(f: RealField) -> SpectralField:
     """Physical samples -> spectral coefficients (unnormalized)."""
-    half = np.fft.rfft2(f.values)
-    return SpectralField(f.grid, _hermitian_extend(half, f.grid.n))
+    n = f.grid.n
+    return SpectralField(f.grid, _hermitian_extend(_forward_columns(f.values, n // 2 + 1), n))
 
 
 def inverse(F: SpectralField) -> RealField:
@@ -449,14 +443,10 @@ def active_band(F: SpectralField) -> int:
 
 
 def _fine_columns(F: SpectralField, factor: int) -> np.ndarray:
-    """The complex column pass of F on the factor-times finer grid: its
-    occupied leading half-spectrum columns, zero-padded to m = factor*n
-    rows and transformed along axis 0.  The real pass along axis 1 of
-    these m rows gives the fine-grid values, up to the factor**2 scale.
-
-    For factor > 1 the spectrum must be Nyquist-free (max component
-    <= n/2 - 1), which every dealiased field satisfies.
-    """
+    """F's occupied leading half-spectrum columns, zero-padded to the
+    factor*n rows of the factor-times finer grid.  For factor > 1 the
+    spectrum must be Nyquist-free (max component <= n/2 - 1), which every
+    dealiased field satisfies."""
     n = F.grid.n
     if factor > 1 and active_band(F) > n // 2 - 1:
         raise ValueError("field carries Nyquist content; cannot oversample exactly")
@@ -467,7 +457,7 @@ def _fine_columns(F: SpectralField, factor: int) -> np.ndarray:
     block = np.zeros((m, width), dtype=np.complex128)
     block[: n // 2] = F.coef[: n // 2, :width]
     block[m - n // 2 :] = F.coef[n // 2 :, :width]
-    return np.fft.ifft(block, axis=0)
+    return block
 
 
 def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
@@ -475,8 +465,8 @@ def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     factor 1 gives the collocation samples of `inverse`.  The whole
     (factor*n)^2 array: sup and L^p reductions on the OVERSAMPLE grid go
     through `oversampled_rows` instead."""
-    m = factor * F.grid.n
-    vals = np.fft.irfft2(_fine_columns(F, factor), s=(m,), axes=(1,))
+    block = _fine_columns(F, factor)
+    vals = _inverse_columns(block, factor * F.grid.n, half=block)
     vals *= factor**2
     return vals
 
@@ -491,7 +481,7 @@ def oversampled_rows(fields):
     """
     _check_same_grid(*fields)
     m = OVERSAMPLE * fields[0].grid.n  # >= 32 and a power of two: whole blocks
-    cols = [_fine_columns(F, OVERSAMPLE) for F in fields]
+    cols = [np.fft.ifft(_fine_columns(F, OVERSAMPLE), axis=0) for F in fields]
     # One zero-tailed half spectrum per field: a shared one would hand a
     # narrower field the stale columns of a wider one.
     pads = [np.zeros((ROW_BLOCK, m // 2 + 1), dtype=np.complex128) for _ in fields]
@@ -520,6 +510,19 @@ def lp_of_power_mean(mean: float, p: float) -> float:
     return float((TWO_PI**2 * mean) ** (1.0 / p))
 
 
+def power_sum(v: np.ndarray, p: float) -> float:
+    """Sum of |v|^p over the block v, which it overwrites with |v|^p.
+    p = 2, 4 and 8 square in place: `v **= p` runs numpy's general pow
+    loop, several times slower."""
+    if p in (2, 4, 8):
+        for _ in range(int(p).bit_length() - 1):
+            np.square(v, out=v)
+    else:
+        np.abs(v, out=v)
+        v **= p
+    return float(np.sum(v))
+
+
 def lp_of_samples(blocks, p: float) -> float:
     """L^p norm over [0, 2pi)^2 of a function from its samples on a
     uniform grid, given as blocks of rows (one block for a whole array);
@@ -530,13 +533,7 @@ def lp_of_samples(blocks, p: float) -> float:
     total = 0.0
     count = 0
     for v in blocks:
-        np.abs(v, out=v)
-        if p in (4, 8):  # by repeated squaring, as `diagnostics.compute_record`
-            for _ in range(2 if p == 4 else 3):
-                np.square(v, out=v)
-        else:
-            v **= p
-        total += float(np.sum(v))
+        total += power_sum(v, p)
         count += v.size
     return lp_of_power_mean(total / count, p)
 
@@ -549,26 +546,38 @@ def lp_norm(F: SpectralField, p: float) -> float:
     return lp_of_samples((v for v, in oversampled_rows((F,))), p)
 
 
-def gradient_magnitude_sq(w: SpectralField):
-    """Row blocks of |grad u|^2 on the OVERSAMPLE grid for the
+def vorticity_gradient_rows(w: SpectralField):
+    """Row blocks (w, |grad u|^2) on the OVERSAMPLE grid for the
     divergence-free u with curl u = w, scratch as in `oversampled_rows`.
-    Three transforms, of the `_gradient_coefs` d1u1, d2u1 and d1u2:
-    d2u2 = -d1u1 holds exactly, so its square is that of d1u1, and the
-    four squares are summed in the order of `pointwise_magnitude_sup`,
-    with the same bits."""
-    comps = [SpectralField(w.grid, c) for c in _gradient_coefs(w)]
-    for d11, d21, d12 in oversampled_rows(comps):
-        for v in (d11, d21, d12):
-            np.square(v, out=v)
-        d21 += d11
-        d21 += d12
-        d21 += d11
-        yield d21
+
+    Three transforms, of w, d1u1 and the strain sigma = d1u2 + d2u1: in 2D
+    d2u2 = -d1u1 and w = d1u2 - d2u1, so
+    |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2.  The w block is yielded
+    unsquared, so its max stays exact where w^2 would underflow."""
+    c11, c21, c12 = _gradient_coefs(w)
+    parts = (w, SpectralField(w.grid, c11), SpectralField(w.grid, c12 + c21))
+    w_sq = np.empty((ROW_BLOCK, OVERSAMPLE * w.grid.n))
+    for v, d11, sigma in oversampled_rows(parts):
+        np.square(sigma, out=sigma)
+        sigma += np.square(v, out=w_sq)
+        sigma *= 0.5
+        np.square(d11, out=d11)
+        d11 += d11
+        d11 += sigma
+        yield v, d11
+
+
+def vorticity_gradient_sups(w: SpectralField):
+    """OVERSAMPLE-grid maxima (||w||_inf, ||grad u||_inf) for the u with
+    curl u = w, from one `vorticity_gradient_rows` pass."""
+    tops = [(np.abs(v, out=v).max(), sq.max()) for v, sq in vorticity_gradient_rows(w)]
+    top_w, top_sq = np.max(tops, axis=0)
+    return float(top_w), float(np.sqrt(top_sq))
 
 
 def gradient_sup(w: SpectralField) -> float:
     """OVERSAMPLE-grid max of |grad u| for the u with curl u = w."""
-    return float(np.sqrt(np.max([sq.max() for sq in gradient_magnitude_sq(w)])))
+    return vorticity_gradient_sups(w)[1]
 
 
 def pointwise_magnitude_sup(fields) -> float:

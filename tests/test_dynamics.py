@@ -50,6 +50,21 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ideal_config(n=32, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 256.0), ("n", 64.5), ("output_every", 2.5), ("output_every", 2.0)],
+    )
+    def test_rejects_non_integer_sizes_and_cadences(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            ideal_config(**{field: value})
+        if field == "n":
+            with pytest.raises(ValueError, match="integer"):
+                sp.TorusGrid(value)
+
+    def test_accepts_numpy_integers(self):
+        cfg = ideal_config(n=np.int64(32), output_every=np.int32(5))
+        assert sp.TorusGrid(cfg.n) is sp.TorusGrid(32)
+
     def test_band_capped_by_dealias_cutoff(self):
         with pytest.raises(ValueError, match="band"):
             dyn.make_initial(sp.TorusGrid(64), "random-band", band=22)

@@ -393,14 +393,20 @@ class TestCompactColumns:
         assert np.array_equal(sp.oversampled_values(F, factor), _zero_padded_oversample(F, factor))
 
     def test_gradient_magnitude_uses_the_trace_free_identity(self, grid64):
+        # The rows take |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2, sigma =
+        # d1u2 + d2u1; the four squared components agree to round-off.
         w = sp.random_band_field(grid64, np.random.default_rng(8), band=20)
         grads = sp.velocity_gradient(w)
         assert np.array_equal(grads[3].coef, -grads[0].coef)
         vals = [sp.oversampled_values(c, 4) for c in grads]
         four = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
-        assert np.array_equal(np.concatenate(_copies(sp.gradient_magnitude_sq(w))), four)
-        assert float(np.sqrt(four.max())) == sp.pointwise_magnitude_sup(grads)
-        assert float(np.sqrt(four.max())) == sp.gradient_sup(w)
+        rows = [[b.copy() for b in pair] for pair in sp.vorticity_gradient_rows(w)]
+        assert np.array_equal(np.concatenate([v for v, _ in rows]), sp.oversampled_values(w, 4))
+        grad_sq = np.concatenate([sq for _, sq in rows])
+        assert np.max(np.abs(grad_sq - four)) <= 1e-14 * four.max()
+        exact = sp.pointwise_magnitude_sup(grads)
+        assert exact == float(np.sqrt(four.max()))
+        assert sp.gradient_sup(w) == pytest.approx(exact, rel=1e-14)
 
     def test_compute_record_makes_three_transforms(self, monkeypatch):
         # One real pass over the OVERSAMPLE grid each for w, d1u1 and the
@@ -423,6 +429,21 @@ class TestCompactColumns:
         dg.compute_record(state, cfg)
         assert sum(rows) == 3 * m
         assert whole == []
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_cz_ratio_makes_three_transforms(self, monkeypatch, p):
+        # w, d1u1 and the strain, one real pass each, serve both norms.
+        w = sp.random_band_field(sp.TorusGrid(32), np.random.default_rng(p), band=8)
+        rows = []
+        real = np.fft.irfft
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting)
+        dg.cz_ratio(w, p)
+        assert sum(rows) == 3 * sp.OVERSAMPLE * 32
 
 
 def _copies(blocks):
@@ -475,6 +496,13 @@ class TestRowBlocks:
         state = dyn.make_initial(sp.TorusGrid(256), "random-band", band=40)
         dg.compute_record(state, cfg)
         assert _traced_peak(lambda: dg.compute_record(state, cfg)) < 16 * 2**20
+
+    def test_oversampled_values_peak_memory(self):
+        # The 512 x 512 output takes 2 MB; a fresh zero-tailed half
+        # spectrum for the real pass would add 2 MB more.
+        F = sp.random_band_field(sp.TorusGrid(256), np.random.default_rng(4), band=8)
+        sp.oversampled_values(F, 2)
+        assert _traced_peak(lambda: sp.oversampled_values(F, 2)) < 3 * 2**20
 
     def test_lp_norm_peak_memory(self):
         # One whole 512 x 512 fine-grid array takes 2 MB.
@@ -540,6 +568,18 @@ def test_only_torus_grid_builds_the_lattice():
         for scope in _lattice_builders(ast.parse(path.read_text())):
             builders.setdefault(scope, []).append(path.name)
     assert builders == {"TorusGrid.__new__": ["spectral.py"]}
+
+
+def test_no_two_dimensional_fft_in_the_package():
+    """Every transform is a 1D pass through the compact-column functions."""
+    banned = {"rfft2", "irfft2", "fft2", "ifft2", "rfftn", "irfftn"}
+    used = [
+        (path.name, node.attr)
+        for path in sorted(Path(sp.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in banned
+    ]
+    assert used == []
 
 
 class TestSymbolPower:

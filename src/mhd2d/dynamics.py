@@ -8,15 +8,20 @@ is retained only as a cross-check oracle for the curl system.
 Time stepping is integrating-factor RK4: the stiff linear terms
 nu*Lambda^(2a) w and eta*Lambda^(2b) j are integrated exactly by
 exp(-nu|xi|^(2a) dt) / exp(-eta|xi|^(2b) dt), the nonlinear terms by the
-classical 4-stage rule.  The nonlinear terms are taken in flux form,
+classical 4-stage rule.  The vorticity tendency is taken in Basdevant's
+form (J. Comput. Phys. 50:209, 1983), from u and b alone:
 
-    dw = -div(u w - b j),    dj = -Lap(u1 b2 - u2 b1),
+    dw = -(d1^2 - d2^2)(u1 u2 - b1 b2) - d1 d2 ((u2^2 - u1^2) - (b2^2 - b1^2)),
+    dj = -Lap(u1 b2 - u2 b1),
 
-from 6 inverse transforms (u1, u2, b1, b2, w, j) and 3 forward ones, with
-products formed pointwise in physical space and 2/3-dealiased afterwards.
-A 2/3-dealiased quadratic product is an exact Galerkin truncation
-(Orszag, J. Atmos. Sci. 28:1074, 1971), so this equals the advective form
-of the same equations to round-off.
+from 4 inverse transforms (u1, u2, b1, b2) and 3 forward ones (the three
+products), with products formed pointwise in physical space and
+2/3-dealiased afterwards.  A product of two fields with |xi_i| <= n/3 has
+|xi_i| <= 2n/3, so its collocation aliases land at |xi_i| >= n - 2n/3,
+outside the band, where the mask drops them: the dealiased product is the exact Galerkin
+truncation (Orszag, J. Atmos. Sci. 28:1074, 1971).  So this is the same
+truncated system as the flux form dw = -div(u w - b j), which needs w and
+j on the grid too, and the two agree to round-off.
 
 Inside a step (w, j) is one stacked array of shape (2, n, c + 1), c the
 dealias cutoff: the compact blocks of the c + 1 leading half-spectrum
@@ -30,11 +35,11 @@ pair.  The blocks become the full n x n layout only when `step` and
 `vorticity_rhs` return.
 
 Each `step` makes one workspace (`_workspace`) and passes it to its four
-stages.  Every product, flux and transform of a stage writes into it with
-`out=`, in the order of the plain expressions, so the bits do not change;
-each flux is transformed as soon as it is formed, so one flux array
-serves all three.  The workspace is not cached, so no n x n scratch
-outlives a step.
+stages.  Every product and transform of a stage writes into it with
+`out=`; the cross product u1 b2 - u2 b1 is held while the squares are
+taken in place in the velocity arrays, so two real arrays beyond the
+velocities serve all three products.  The workspace is
+not cached, so no n x n scratch outlives a step.
 """
 
 from __future__ import annotations
@@ -131,18 +136,21 @@ def _pair(state: MHDState):
 
 @functools.lru_cache(maxsize=32)
 def _half_multipliers(n: int):
-    """Compact-block Biot-Savart multipliers and the 2/3-masked -i xi1,
-    -i xi2, |xi|^2; all vanish at xi = 0, so means stay exactly 0."""
+    """Compact-block Biot-Savart multipliers and the 2/3-masked symbols of
+    -(d1^2 - d2^2), -d1 d2 and -Lap: k1^2 - k2^2, k1 k2 and |xi|^2.  All
+    vanish at xi = 0, so means stay exactly 0; the last three are real and
+    even in xi, so they keep a half spectrum Hermitian."""
     g = TorusGrid(n)
-    kd1, kd2, ksq, mask = (_block(g, a) for a in (g.kd1, g.kd2, g.ksq, g.dealias_mask))
+    k1, k2, ksq, mask = (_block(g, a) for a in (g.k1, g.k2, g.ksq, g.dealias_mask))
     bs = (_block(g, m) for m in sp._biot_savart_symbols(g))
-    return tuple(sp._frozen(m) for m in (*bs, -1j * kd1 * mask, -1j * kd2 * mask, ksq * mask))
+    even = ((k1 * k1 - k2 * k2) * mask, k1 * k2 * mask, ksq * mask)
+    return tuple(sp._frozen(m) for m in (*bs, *even))
 
 
 def _workspace(n: int):
-    """Scratch for one step: 8 n x n real arrays (u1, u2, b1, b2, w, j, one
-    flux, one temporary) and a zero-tailed n x (n/2 + 1) half spectrum."""
-    return np.empty((8, n, n)), np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    """Scratch for one step: 6 n x n real arrays (u1, u2, b1, b2, one
+    product, one temporary) and a zero-tailed n x (n/2 + 1) half spectrum."""
+    return np.empty((6, n, n)), np.zeros((n, n // 2 + 1), dtype=np.complex128)
 
 
 def _velocities(n: int, wj, ws, coef):
@@ -158,23 +166,14 @@ def _velocities(n: int, wj, ws, coef):
 
 def _dt_bound(grid: TorusGrid, ws) -> float:
     """0.5*spacing/max(|u|, |b|) from the velocities in the workspace ws."""
-    u1, u2, b1, b2, _, _, flux, tmp = ws[0]
+    u1, u2, b1, b2, prod, tmp = ws[0]
     sq_tops = []
     for a1, a2 in ((u1, u2), (b1, b2)):
-        np.multiply(a1, a1, out=flux)
-        flux += np.multiply(a2, a2, out=tmp)
-        sq_tops.append(flux.max())
+        np.multiply(a1, a1, out=prod)
+        prod += np.multiply(a2, a2, out=tmp)
+        sq_tops.append(prod.max())
     vmax = np.sqrt(max(sq_tops))
     return np.inf if vmax == 0.0 else 0.5 * grid.spacing / vmax
-
-
-def _flux_columns(ws, a, b, c, d, out):
-    """Leading columns of the forward transform of a*b - c*d, formed in
-    the workspace's flux array; `out` takes them."""
-    _, _, _, _, _, _, flux, tmp = ws[0]
-    np.multiply(a, b, out=flux)
-    flux -= np.multiply(c, d, out=tmp)
-    return sp._forward_columns(flux, out.shape[1], out=out, half=ws[1])
 
 
 def _nonlinear_half(grid: TorusGrid, wj, t: float, ws, h: float | None = None):
@@ -182,32 +181,41 @@ def _nonlinear_half(grid: TorusGrid, wj, t: float, ws, h: float | None = None):
     stacked compact blocks wj of (w, j); returns (dw, dj) stacked alike.
     ws is the step's workspace; every transform runs in it.
 
-    dw_hat = -i xi . P[FT(u w - b j)]
+    dw_hat = (k1^2 - k2^2) P[FT(u1 u2 - b1 b2)]
+             + k1 k2 P[FT((u2^2 - u1^2) - (b2^2 - b1^2))]
     dj_hat = |xi|^2 P[FT(u1 b2 - u2 b1)]
 
-    P is the 2/3 mask.  Transforms: 6 inverse (u1, u2, b1, b2, w, j) and 3
-    forward (the two components of u w - b j, and u x b).  As div u = div b
-    = 0, this is the advective form -(u.grad)w + (b.grad)j and the curl of
-    the induction term curl(u x b); P of a collocation product of fields in
-    the 2/3 band is the exact truncated product (Orszag 1971), so the two
-    forms agree to round-off.
+    P is the 2/3 mask.  Transforms: 4 inverse (u1, u2, b1, b2) and 3
+    forward (the three products).  dw_hat is Basdevant's
+    -curl div(u u - b b), equal to the flux form -i xi . P[FT(u w - b j)]
+    up to round-off (module docstring); dj_hat is curl curl(u x b).
 
     If h is given, the advective step bound h <= 0.5*spacing/max(|u|,|b|)
     is checked on the physical u and b before the products are formed.
     """
     n = grid.n
-    _, _, dx1, dx2, lap = _half_multipliers(n)
-    u1, u2, b1, b2, w, j, _, _ = ws[0]
+    _, _, k11_22, k12, lap = _half_multipliers(n)
+    u1, u2, b1, b2, prod, tmp = ws[0]
     dwj = np.empty_like(wj)
-    d0, d1 = dwj  # also the Biot-Savart scratch, until the tendencies land
+    d0, d1 = dwj  # also the Biot-Savart and transform scratch, until the tendencies land
     _velocities(n, wj, ws, d0)
     if h is not None and h > (bound := _dt_bound(grid, ws)):
         raise SimulationAbort(t, f"advective step bound violated: dt={h:g} > {bound:g}")
-    for c, out in zip(wj, (w, j)):
-        sp._inverse_columns(c, n, out=out, half=ws[1])
-    np.multiply(dx1, _flux_columns(ws, u1, w, b1, j, d0), out=d0)
-    d0 += np.multiply(dx2, _flux_columns(ws, u2, w, b2, j, d1), out=d1)
-    np.multiply(lap, _flux_columns(ws, u1, b2, u2, b1, d1), out=d1)
+    np.multiply(u1, u2, out=prod)
+    prod -= np.multiply(b1, b2, out=tmp)
+    sp._forward_columns(prod, d0.shape[1], out=d0, half=ws[1])
+    d0 *= k11_22
+    np.multiply(u1, b2, out=prod)  # held until the squares are transformed
+    prod -= np.multiply(u2, b1, out=tmp)
+    for a in (u1, u2, b1, b2):
+        a *= a
+    u2 -= u1
+    b2 -= b1
+    u2 -= b2
+    sp._forward_columns(u2, d1.shape[1], out=d1, half=ws[1])
+    d0 += np.multiply(k12, d1, out=d1)
+    sp._forward_columns(prod, d1.shape[1], out=d1, half=ws[1])
+    d1 *= lap
     if not np.isfinite(dwj).all():
         raise SimulationAbort(t, "non-finite value in a nonlinear product")
     return dwj
@@ -234,11 +242,13 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
     stage at its own time.  The advective step bound is checked on the
     stage-1 velocities, at no extra transforms; an abort carries the input.
     The four stages share one workspace, made here and freed before the
-    update."""
+    update.  A `dt` override must be finite and positive (ValueError)."""
     g = state.grid
     if g.n != config.n:
         raise sp.GridMismatchError(f"state grid n={g.n} != config n={config.n}")
     h = float(config.dt if dt is None else dt)
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     eh, ef = _integrating_factors(
         g.n, h, float(config.nu), float(config.alpha), float(config.eta), float(config.beta)
     )

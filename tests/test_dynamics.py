@@ -31,6 +31,37 @@ def random_state(n=64, band=12, seed=1, amp=1.0):
     return dyn.MHDState(0.0, w, j)
 
 
+def band_state(n, kind, seed=11):
+    """Random-band (w, j) filling the whole 2/3 band, or Orszag-Tang plus
+    such a field at a tenth of the amplitude."""
+    g = sp.TorusGrid(n)
+    rng = np.random.default_rng(seed)
+    w, j = (sp.random_band_field(g, rng, g.dealias_cutoff) for _ in range(2))
+    if kind == "random-band":
+        return dyn.MHDState(0.0, w, j)
+    ot = dyn.make_initial(g, "orszag-tang")
+    return dyn.MHDState(
+        0.0,
+        sp.SpectralField(g, ot.w.coef + 0.1 * w.coef),
+        sp.SpectralField(g, ot.j.coef + 0.1 * j.coef),
+    )
+
+
+def flux_form_rhs(state):
+    """Coefficients of the ideal tendency in flux form:
+    dw = -i xi . P[FT(u w - b j)], dj = |xi|^2 P[FT(u1 b2 - u2 b1)]."""
+    g = state.grid
+    u1, u2 = (sp.inverse(f).values for f in sp.biot_savart(state.w))
+    b1, b2 = (sp.inverse(f).values for f in sp.biot_savart(state.j))
+    w, j = sp.inverse(state.w).values, sp.inverse(state.j).values
+
+    def product(v):
+        return sp.dealias(sp.forward(sp.RealField(g, v))).coef
+
+    dw = -1j * (g.k1 * product(u1 * w - b1 * j) + g.k2 * product(u2 * w - b2 * j))
+    return dw, g.ksq * product(u1 * b2 - u2 * b1)
+
+
 class TestSolverConfig:
     def test_rejects_negative_exponents_and_coefficients(self):
         with pytest.raises(ValueError):
@@ -134,8 +165,35 @@ class TestVorticityRHS:
         assert np.max(np.abs(cw.coef + lin_w - dw.coef)) / np.max(np.abs(dw.coef)) < 1e-10
         assert np.max(np.abs(cj.coef + lin_j - dj.coef)) / np.max(np.abs(dj.coef)) < 1e-10
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("kind", ["random-band", "perturbed orszag-tang"])
+    def test_matches_the_flux_form(self, n, kind):
+        state = band_state(n, kind)
+        dw, dj = dyn.vorticity_rhs(state)
+        fw, fj = flux_form_rhs(state)
+        assert np.max(np.abs(dw.coef - fw)) <= 1e-13 * np.max(np.abs(fw))
+        assert np.max(np.abs(dj.coef - fj)) <= 1e-13 * np.max(np.abs(fj))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("kind", ["random-band", "perturbed orszag-tang"])
+    def test_tendency_conserves_the_ideal_invariants(self, n, kind):
+        # With psi = w/|xi|^2 and a = j/|xi|^2, the ideal tendency leaves
+        # the energy, the cross helicity and the integral of a^2 unchanged.
+        # psi and a below hold the conjugates.
+        state = band_state(n, kind)
+        dw, dj = (f.coef for f in dyn.vorticity_rhs(state))
+        inv = state.grid.inv_ksq
+        psi, a = (np.conj(f.coef) * inv for f in (state.w, state.j))
+        rates = {
+            "energy": psi * dw + a * dj,
+            "cross helicity": psi * dj + a * dw,
+            "mean square potential": a * dj * inv,
+        }
+        for name, terms in rates.items():
+            assert abs(terms.sum().real) <= 1e-13 * np.abs(terms).sum(), name
+
     def test_fft_budget(self, monkeypatch):
-        # 6 inverse + 3 forward transforms per stage, each a complex pass
+        # 4 inverse + 3 forward transforms per stage, each a complex pass
         # along axis 0 and a real pass along axis 1, with no 2D call; the
         # per-step advective bound reuses the stage-1 velocities, so a step
         # is exactly 4 stages.
@@ -152,10 +210,10 @@ class TestVorticityRHS:
         for name in ("ifft", "irfft", "fft", "rfft", "ifft2", "irfft2", "fft2", "rfft2"):
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         dyn.vorticity_rhs(state)
-        assert calls == {"ifft": 6, "irfft": 6, "rfft": 3, "fft": 3}
+        assert calls == {"ifft": 4, "irfft": 4, "rfft": 3, "fft": 3}
         calls.clear()
         dyn.step(state, ideal_config(n=32))
-        assert calls == {"ifft": 24, "irfft": 24, "rfft": 12, "fft": 12}
+        assert calls == {"ifft": 16, "irfft": 16, "rfft": 12, "fft": 12}
 
     def test_primitive_abort_reports_the_state_time(self):
         # Coefficients of about 1e200 overflow the quadratic products.
@@ -273,7 +331,8 @@ class TestStep:
     def test_the_workspace_does_not_outlive_its_step(self):
         # The per-n multiplier caches outlive every step by design, so they
         # are filled first.  A step then keeps only its new state, and its
-        # scratch (8 n x n real arrays and a half spectrum) stays bounded.
+        # scratch (6 n x n real arrays: u1, u2, b1, b2, a product and a
+        # temporary; and a half spectrum) stays bounded.
         n = 256
         cfg = ideal_config(n=n, eta=0.05, beta=1.75)
         state = random_state(n=n, band=12, seed=4)
@@ -288,6 +347,14 @@ class TestStep:
             tracemalloc.stop()
         assert after - before <= 1.1 * (out.w.coef.nbytes + out.j.coef.nbytes)
         assert peak < 16e6
+
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_a_bad_dt_override(self, dt):
+        state = random_state(n=32, band=10)
+        dyn._integrating_factors.cache_clear()
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            dyn.step(state, ideal_config(n=32), dt)
+        assert dyn._integrating_factors.cache_info().currsize == 0
 
     def test_advective_bound_checked_every_step(self):
         state = dataclasses.replace(random_state(n=32, band=10, seed=3, amp=5.0), t=0.7)

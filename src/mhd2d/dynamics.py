@@ -240,9 +240,10 @@ def _integrating_factors(n, dt, nu, alpha, eta, beta):
 def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDState:
     """Advance one step of integrating-factor RK4 on the stacked (w, j), each
     stage at its own time.  The advective step bound is checked on the
-    stage-1 velocities, at no extra transforms; an abort carries the input.
-    The four stages share one workspace, made here and freed before the
-    update.  A `dt` override must be finite and positive (ValueError)."""
+    stage-1 velocities, at no extra transforms; an abort carries the input,
+    also when the update is not finite.  The four stages share one
+    workspace, made here and freed before the update.  A `dt` override
+    must be finite and positive (ValueError)."""
     g = state.grid
     if g.n != config.n:
         raise sp.GridMismatchError(f"state grid n={g.n} != config n={config.n}")
@@ -254,20 +255,38 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
     )
     wj, t = _pair(state), state.t
     ws = _workspace(g.n)
+    # Stage inputs and the update are written into x, with y and the real
+    # factor r as scratch, each product in the order of the formula.
+    x, y, r = np.empty_like(wj), np.empty_like(wj), np.empty(wj.shape)
 
     th = t + 0.5 * h
     try:
         k1 = _nonlinear_half(g, wj, t, ws, h)
-        k2 = _nonlinear_half(g, eh * (wj + 0.5 * h * k1), th, ws)
-        k3 = _nonlinear_half(g, eh * wj + 0.5 * h * k2, th, ws)
-        k4 = _nonlinear_half(g, ef * wj + h * eh * k3, t + h, ws)
-        del ws  # freed before the update allocates, so the two peaks do not add
+        np.multiply(0.5 * h, k1, out=x)  # eh * (wj + 0.5 h k1)
+        np.add(wj, x, out=x)
+        k2 = _nonlinear_half(g, np.multiply(eh, x, out=x), th, ws)
+        np.multiply(eh, wj, out=x)  # eh wj + 0.5 h k2
+        x += np.multiply(0.5 * h, k2, out=y)
+        k3 = _nonlinear_half(g, x, th, ws)
+        np.multiply(ef, wj, out=x)  # ef wj + (h eh) k3
+        x += np.multiply(np.multiply(h, eh, out=r), k3, out=y)
+        k4 = _nonlinear_half(g, x, t + h, ws)
+        del ws  # freed before the update, so the two peaks do not add
     except SimulationAbort as err:
         err.state = state
         raise
 
-    new = ef * wj + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-    out = MHDState(t + h, *(SpectralField(g, sp._hermitian_extend(c, g.n)) for c in new))
+    # ef wj + (h/6) (ef k1 + (2 eh) (k2 + k3) + k4), into x
+    np.multiply(ef, k1, out=k1)
+    k2 += k3
+    k1 += np.multiply(np.multiply(2.0, eh, out=r), k2, out=k2)
+    k1 += k4
+    np.multiply(h / 6.0, k1, out=k1)
+    np.multiply(ef, wj, out=x)
+    x += k1
+    if not np.isfinite(x).all():
+        raise SimulationAbort(t, "non-finite value in the update", state)
+    out = MHDState(t + h, *(SpectralField(g, sp._hermitian_extend(c, g.n)) for c in x))
     old_norm = sp.l2_norm(state.w)
     if old_norm > 0.0 and sp.l2_norm(out.w) > 10.0 * old_norm:
         raise SimulationAbort(t, "vorticity L2 norm grew more than 10x in one step", state)

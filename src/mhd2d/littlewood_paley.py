@@ -9,6 +9,12 @@ reconstruction tests lean on.  The family is homogeneous: on the integer
 lattice the smallest nonzero |xi| is 1, so the blocks j = 0 .. j_max
 cover every mode but the mean, and a block index outside that range
 meets no lattice point and is the zero field.
+
+A block whose annulus holds no nonzero coefficient of the field is
+exactly zero, and is not transformed: `nonzero_blocks` marks it, and
+`besov_norm`, `bony_decompose` and `log_inequality_ratio` put its known
+result (a term 0.0, a zero array, a block sup 0.0) in its place, so
+every sum is formed in the same order as over all blocks.
 """
 
 from __future__ import annotations
@@ -23,10 +29,15 @@ from . import spectral as sp
 from .spectral import SpectralField, TorusGrid, TWO_PI
 
 
+def _in_support(r: np.ndarray) -> np.ndarray:
+    """Mask of 1/2 < r < 2, the open support of the bump."""
+    return (r > 0.5) & (r < 2.0)
+
+
 def _bump_profile(r: np.ndarray) -> np.ndarray:
     """Smooth bump supported exactly on (1/2, 2)."""
     out = np.zeros_like(r)
-    inside = (r > 0.5) & (r < 2.0)
+    inside = _in_support(r)
     x = r[inside]
     out[inside] = np.exp(-1.0 / ((x - 0.5) * (2.0 - x)))
     return out
@@ -66,6 +77,17 @@ def _partition(n: int) -> DyadicPartition:
     # Keyed by n, and the partition holds no grid, so that the cache keeps
     # no grid alive.
     return DyadicPartition(TorusGrid(n))
+
+
+def nonzero_blocks(f: SpectralField) -> list[SpectralField | None]:
+    """block_j f for j = 0 .. j_max, with None for every block that is
+    exactly the zero field: no nonzero coefficient of f has
+    1/2 < |xi|/2^j < 2, the support test of the multiplier's bump."""
+    r = f.grid.kmag[f.coef != 0]
+    return [
+        dyadic_block(f, j) if _in_support(r / 2.0**j).any() else None
+        for j in build_partition(f.grid).resolved()
+    ]
 
 
 def dyadic_block(f: SpectralField, j: int) -> SpectralField:
@@ -109,8 +131,10 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
     """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}."""
     if not f.is_zero_mean():
         raise sp.MeanModeError("homogeneous Besov norm needs a zero-mean field")
-    js = build_partition(f.grid).resolved()
-    terms = np.array([2.0 ** (j * spec.s) * sp.lp_norm(dyadic_block(f, j), spec.p) for j in js])
+    terms = np.array([
+        2.0 ** (j * spec.s) * (0.0 if block is None else sp.lp_norm(block, spec.p))
+        for j, block in enumerate(nonzero_blocks(f))
+    ])
     if np.isinf(spec.q):
         return float(terms.max())
     return float((terms**spec.q).sum() ** (1.0 / spec.q))
@@ -147,14 +171,17 @@ def bony_decompose(f: SpectralField, g: SpectralField):
         if not F.is_zero_mean():
             raise sp.MeanModeError(f"{name} must be zero-mean for the paraproduct split")
     fine = sp.TorusGrid(2 * f.grid.n)
-    js = list(build_partition(f.grid).resolved())
-    f_blocks = [sp.oversampled_values(dyadic_block(f, j), 2) for j in js]
-    g_blocks = [sp.oversampled_values(dyadic_block(g, j), 2) for j in js]
+    zero = sp._frozen(np.zeros((fine.n, fine.n)))  # every zero block
+    f_blocks, g_blocks = (
+        [zero if b is None else sp.oversampled_values(b, 2) for b in nonzero_blocks(h)]
+        for h in (f, g)
+    )
+    count = len(f_blocks)
 
     def paraproduct(lows, highs):
         acc = np.zeros_like(lows[0])
         running = np.zeros_like(lows[0])
-        for idx in range(len(js)):
+        for idx in range(count):
             # running holds sum_{l <= j-2} at the time block j is consumed
             if idx >= 2:
                 running += lows[idx - 2]
@@ -164,9 +191,9 @@ def bony_decompose(f: SpectralField, g: SpectralField):
     t_fg = paraproduct(f_blocks, g_blocks)
     t_gf = paraproduct(g_blocks, f_blocks)
     r_fg = np.zeros_like(t_fg)
-    for a in range(len(js)):
+    for a in range(count):
         for b in (a - 1, a, a + 1):
-            if 0 <= b < len(js):
+            if 0 <= b < count:
                 r_fg += f_blocks[a] * g_blocks[b]
     return (
         sp.RealField(fine, t_fg),
@@ -243,8 +270,8 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     n_split = math.ceil(math.log2(2.0 + hs_u) / (s - 2.0))
     n_split = min(max(n_split, 1), partition.j_max)
     term_mid = term_high = 0.0
-    for j in partition.resolved():
-        block_sup = sp.gradient_sup(dyadic_block(w, j))
+    for j, block in enumerate(nonzero_blocks(w)):
+        block_sup = 0.0 if block is None else sp.gradient_sup(block)
         if j < n_split:
             term_mid += block_sup
         else:

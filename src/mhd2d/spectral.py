@@ -22,10 +22,16 @@ Conventions used throughout the package:
   axis 0, one 1D transform per half-spectrum column, and a real pass
   along axis 1.  Every transform in the package runs these two passes on
   the leading columns only, in `_inverse_columns`, `_forward_columns` or
-  `oversampled_rows`; `_fine_columns` zero-pads a field's columns to the
-  rows of a finer grid.  Every skipped column is exactly zero and every
+  `_fine_rows` (the row pass of `oversampled_rows`); `_fine_columns`
+  zero-pads a field's columns to the rows of a finer grid.  Every skipped column is exactly zero and every
   1D transform that runs is the one rfft2/irfft2 would run, so the
   results are bit-identical to the full-width transforms.
+* The factor^2 of a fine grid.  Evaluating on a factor-times finer grid
+  needs the inverse transform of that grid times factor^2.
+  `_fine_columns` writes factor^2 * coef while it zero-pads, so no pass
+  sweeps the fine grid again.  factor^2 is a power of two, so scaling the
+  input gives the bits of scaling the output (barring overflow and
+  underflow).
 * Zero-tailed half spectrum.  irfft pads a short input with zeros, with
   the same bits, but runs faster on a full-width (rows, m//2 + 1) input
   whose tail is zero already (by 7 to 25% on 4x-grid row blocks at
@@ -367,18 +373,20 @@ def biot_savart(w: SpectralField):
     return tuple(SpectralField(w.grid, m * w.coef) for m in _biot_savart_symbols(w.grid))
 
 
-def _gradient_coefs(w: SpectralField):
+def _gradient_coefs(g: TorusGrid, coef: np.ndarray):
     """Coefficients of d1u1, d2u1 and d1u2 for the divergence-free u with
-    curl u = w; d2u2 = -d1u1."""
-    g = w.grid
-    q = g.inv_ksq * w.coef
-    return -g.k1 * g.k2 * q, -g.k2 * g.k2 * q, g.k1 * g.k1 * q
+    curl u = w, from the leading columns `coef` of w's spectrum (all n of
+    them, or fewer); d2u2 = -d1u1."""
+    cols = slice(0, coef.shape[1])
+    k1, k2 = g.k1[:, cols], g.k2[:, cols]
+    q = g.inv_ksq[:, cols] * coef
+    return -k1 * k2 * q, -k2 * k2 * q, k1 * k1 * q
 
 
 def velocity_gradient(w: SpectralField):
     """The four components (d1u1, d2u1, d1u2, d2u2) of grad u for the
     divergence-free u with curl u = w, straight from the vorticity."""
-    d11, d21, d12 = _gradient_coefs(w)
+    d11, d21, d12 = _gradient_coefs(w.grid, w.coef)
     return tuple(SpectralField(w.grid, c) for c in (d11, d21, d12, -d11))
 
 
@@ -442,21 +450,28 @@ def active_band(F: SpectralField) -> int:
     return int(max(k[active.any(axis=1)].max(initial=0), k[active.any(axis=0)].max(initial=0)))
 
 
-def _fine_columns(F: SpectralField, factor: int) -> np.ndarray:
-    """F's occupied leading half-spectrum columns, zero-padded to the
-    factor*n rows of the factor-times finer grid.  For factor > 1 the
-    spectrum must be Nyquist-free (max component <= n/2 - 1), which every
-    dealiased field satisfies."""
+def _occupied_columns(F: SpectralField, factor: int) -> np.ndarray:
+    """F's leading half-spectrum columns up to the last nonzero one, all n
+    rows (a view).  For factor > 1 the spectrum must be Nyquist-free (max
+    component <= n/2 - 1), which every dealiased field satisfies."""
     n = F.grid.n
     if factor > 1 and active_band(F) > n // 2 - 1:
         raise ValueError("field carries Nyquist content; cannot oversample exactly")
-    m = factor * n
-    # Only the columns up to the last nonzero one enter the complex pass.
     occupied = np.flatnonzero(F.coef[:, : n // 2 + 1].any(axis=0))
     width = int(occupied[-1]) + 1 if occupied.size else 1
-    block = np.zeros((m, width), dtype=np.complex128)
-    block[: n // 2] = F.coef[: n // 2, :width]
-    block[m - n // 2 :] = F.coef[n // 2 :, :width]
+    return F.coef[:, :width]
+
+
+def _fine_columns(cols: np.ndarray, factor: int) -> np.ndarray:
+    """Leading half-spectrum columns `cols` (n rows) zero-padded to the
+    factor*n rows of the factor-times finer grid and scaled by factor**2,
+    so that the inverse transform on that grid gives the values of the
+    trigonometric polynomial (module docstring)."""
+    n = cols.shape[0]
+    m = factor * n
+    block = np.zeros((m, cols.shape[1]), dtype=np.complex128)
+    np.multiply(cols[: n // 2], factor**2, out=block[: n // 2])
+    np.multiply(cols[n // 2 :], factor**2, out=block[m - n // 2 :])
     return block
 
 
@@ -465,10 +480,8 @@ def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     factor 1 gives the collocation samples of `inverse`.  The whole
     (factor*n)^2 array: sup and L^p reductions on the OVERSAMPLE grid go
     through `oversampled_rows` instead."""
-    block = _fine_columns(F, factor)
-    vals = _inverse_columns(block, factor * F.grid.n, half=block)
-    vals *= factor**2
-    return vals
+    block = _fine_columns(_occupied_columns(F, factor), factor)
+    return _inverse_columns(block, factor * F.grid.n, half=block)
 
 
 def oversampled_rows(fields):
@@ -480,17 +493,24 @@ def oversampled_rows(fields):
     the next block, which the caller may also overwrite.
     """
     _check_same_grid(*fields)
-    m = OVERSAMPLE * fields[0].grid.n  # >= 32 and a power of two: whole blocks
-    cols = [np.fft.ifft(_fine_columns(F, OVERSAMPLE), axis=0) for F in fields]
+    yield from _fine_rows([_occupied_columns(F, OVERSAMPLE) for F in fields])
+
+
+def _fine_rows(leading):
+    """`oversampled_rows` from the leading half-spectrum columns (n rows)
+    of each field."""
+    m = OVERSAMPLE * leading[0].shape[0]  # >= 32 and a power of two: whole blocks
+    blocks = [_fine_columns(c, OVERSAMPLE) for c in leading]
+    for b in blocks:
+        np.fft.ifft(b, axis=0, out=b)  # the complex pass, in place
     # One zero-tailed half spectrum per field: a shared one would hand a
     # narrower field the stale columns of a wider one.
-    pads = [np.zeros((ROW_BLOCK, m // 2 + 1), dtype=np.complex128) for _ in fields]
-    bufs = [np.empty((ROW_BLOCK, m)) for _ in fields]
+    pads = [np.zeros((ROW_BLOCK, m // 2 + 1), dtype=np.complex128) for _ in leading]
+    bufs = [np.empty((ROW_BLOCK, m)) for _ in leading]
     for r in range(0, m, ROW_BLOCK):
-        for c, pad, buf in zip(cols, pads, bufs):
-            pad[:, : c.shape[1]] = c[r : r + ROW_BLOCK]
+        for b, pad, buf in zip(blocks, pads, bufs):
+            pad[:, : b.shape[1]] = b[r : r + ROW_BLOCK]
             np.fft.irfft(pad, n=m, axis=1, out=buf)
-            buf *= OVERSAMPLE**2
         yield bufs
 
 
@@ -553,11 +573,14 @@ def vorticity_gradient_rows(w: SpectralField):
     Three transforms, of w, d1u1 and the strain sigma = d1u2 + d2u1: in 2D
     d2u2 = -d1u1 and w = d1u2 - d2u1, so
     |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2.  The w block is yielded
-    unsquared, so its max stays exact where w^2 would underflow."""
-    c11, c21, c12 = _gradient_coefs(w)
-    parts = (w, SpectralField(w.grid, c11), SpectralField(w.grid, c12 + c21))
+    unsquared, so its max stays exact where w^2 would underflow.  The
+    gradient multipliers act on w's occupied columns only, and w's
+    Nyquist check stands for the derived fields."""
+    cols = _occupied_columns(w, OVERSAMPLE)
+    c11, c21, c12 = _gradient_coefs(w.grid, cols)
+    c12 += c21
     w_sq = np.empty((ROW_BLOCK, OVERSAMPLE * w.grid.n))
-    for v, d11, sigma in oversampled_rows(parts):
+    for v, d11, sigma in _fine_rows((cols, c11, c12)):
         np.square(sigma, out=sigma)
         sigma += np.square(v, out=w_sq)
         sigma *= 0.5

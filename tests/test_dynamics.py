@@ -328,6 +328,31 @@ class TestStep:
         dyn.step(state, ideal_config(n=32), h)
         assert times == [0.3, 0.3 + h / 2, 0.3 + h / 2, 0.3 + h]
 
+    def test_combinations_follow_the_formula_bit_for_bit(self, monkeypatch):
+        # The stage inputs and the update are written in place; each must
+        # equal the IF-RK4 expression evaluated with fresh temporaries.
+        cfg = ideal_config(n=32, nu=0.01, alpha=1.0, eta=0.02, beta=1.5)
+        state = random_state(n=32, band=10, seed=6)
+        h = cfg.dt
+        seen = []
+        real = dyn._nonlinear_half
+
+        def spy(grid, wj, *args):
+            k = real(grid, wj, *args)
+            seen.append((wj.copy(), k.copy()))
+            return k
+
+        monkeypatch.setattr(dyn, "_nonlinear_half", spy)
+        out = dyn.step(state, cfg)
+        eh, ef = dyn._integrating_factors(32, h, cfg.nu, cfg.alpha, cfg.eta, cfg.beta)
+        (wj, k1), (x2, k2), (x3, k3), (x4, k4) = seen
+        assert np.array_equal(wj, dyn._pair(state))
+        assert np.array_equal(x2, eh * (wj + 0.5 * h * k1))
+        assert np.array_equal(x3, eh * wj + 0.5 * h * k2)
+        assert np.array_equal(x4, ef * wj + h * eh * k3)
+        new = ef * wj + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        assert np.array_equal(dyn._pair(out), new)
+
     def test_the_workspace_does_not_outlive_its_step(self):
         # The per-n multiplier caches outlive every step by design, so they
         # are filled first.  A step then keeps only its new state, and its
@@ -367,6 +392,23 @@ class TestStep:
         assert info.value.t == state.t
         out = dyn.step(state, cfg, np.nextafter(bound, 0.0))
         assert out.t > state.t
+
+    def test_a_non_finite_update_aborts_with_the_input(self, monkeypatch):
+        # Tendencies of +-1.5e308 are finite, so every stage passes, but
+        # k2 + k3 in the update overflows.
+        state = dataclasses.replace(random_state(n=32, band=10), t=0.3)
+
+        def huge(grid, wj, *args):
+            out = np.full_like(wj, 1.5e308)
+            out[..., 1::2] *= -1.0
+            return out
+
+        monkeypatch.setattr(dyn, "_nonlinear_half", huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dyn.SimulationAbort, match="non-finite value in the update") as info:
+                dyn.step(state, ideal_config(n=32))
+        assert info.value.state is state
+        assert info.value.t == 0.3
 
     def test_blowup_raises_simulation_abort(self):
         state = random_state(n=32, band=10, seed=5, amp=300.0)

@@ -332,3 +332,143 @@ class TestBernstein:
             f = band_field(grid, seed=400 + seed, band=16)
             r = lp.bernstein_ratio(f, 4, 1, support="ball")
             assert r.l2 <= 1.0 + 1e-12  # components bounded by |xi| <= 2^j
+
+
+# --- blocks that miss the spectrum ---------------------------------------------
+
+
+def _single_mode(grid, k):
+    coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    coef[k, 0] = coef[-k, 0] = 0.5 * grid.n**2
+    return sp.SpectralField(grid, coef, True)
+
+
+def _inner_edge_mode(grid):
+    # xi = (6, 5): |xi|/4 = 1.95, just inside the outer edge of A_2, where
+    # the bump is about 1e-6 of its peak.
+    coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    coef[6, 5] = coef[-6, -5] = 0.5 * grid.n**2
+    return sp.SpectralField(grid, coef, True)
+
+
+def _gapped(grid, seed):
+    # Modes with |xi| <= 3 or 20 <= |xi| <= 40: block j = 3 (4 < |xi| < 16)
+    # lies inside the gap.
+    f = band_field(grid, seed=seed, band=40)
+    keep = (grid.kmag <= 3) | (grid.kmag >= 20)
+    return sp.SpectralField(grid, np.where(keep, f.coef, 0.0), True)
+
+
+def _fields(grid):
+    return {
+        "band8": band_field(grid, seed=90, band=8),
+        "mode8": _single_mode(grid, 8),
+        "edge": _inner_edge_mode(grid),
+        "gap": _gapped(grid, 91),
+        "zero": sp.SpectralField.zeros(grid),
+    }
+
+
+def _all_blocks(f, part):
+    return [lp.dyadic_block(f, j) for j in part.resolved()]
+
+
+def _besov_oracle(f, spec, part):
+    terms = np.array([
+        2.0 ** (j * spec.s) * sp.lp_norm(b, spec.p) for j, b in enumerate(_all_blocks(f, part))
+    ])
+    if np.isinf(spec.q):
+        return float(terms.max())
+    return float((terms**spec.q).sum() ** (1.0 / spec.q))
+
+
+def _bony_oracle(f, g, part):
+    fb, gb = ([sp.oversampled_values(b, 2) for b in _all_blocks(h, part)] for h in (f, g))
+    count = len(fb)
+
+    def paraproduct(lows, highs):
+        acc = np.zeros_like(lows[0])
+        running = np.zeros_like(lows[0])
+        for idx in range(count):
+            if idx >= 2:
+                running += lows[idx - 2]
+            acc += running * highs[idx]
+        return acc
+
+    r_fg = np.zeros_like(fb[0])
+    for a in range(count):
+        for b in (a - 1, a, a + 1):
+            if 0 <= b < count:
+                r_fg += fb[a] * gb[b]
+    return paraproduct(fb, gb), r_fg, paraproduct(gb, fb)
+
+
+def _counting(real, log):
+    def wrapped(a, *args, **kwargs):
+        log.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    return wrapped
+
+
+class TestZeroBlocks:
+    """Blocks whose annulus holds no nonzero coefficient are skipped, and
+    every result is that of transforming all of them."""
+
+    @pytest.mark.parametrize("kind", ["band8", "mode8", "edge", "gap", "zero"])
+    def test_a_skipped_block_is_exactly_zero(self, grid, part, kind):
+        f = _fields(grid)[kind]
+        blocks = lp.nonzero_blocks(f)
+        assert len(blocks) == part.j_max + 1
+        for j, b in enumerate(blocks):
+            full = lp.dyadic_block(f, j)
+            if b is None:
+                assert not full.coef.any()
+            else:
+                assert np.array_equal(b.coef, full.coef)
+
+    def test_which_blocks_are_skipped(self, grid):
+        fields = _fields(grid)
+        skipped = {k: [b is None for b in lp.nonzero_blocks(f)] for k, f in fields.items()}
+        # |xi| = 8 = 2^3 is an endpoint of A_2 and A_4, so only j = 3 remains.
+        assert skipped["mode8"] == [True, True, True, False, True, True, True]
+        assert skipped["edge"] == [True, True, False, False, True, True, True]
+        assert skipped["band8"] == [False, False, False, False, True, True, True]
+        assert skipped["gap"] == [False, False, False, True, False, False, False]
+        assert all(skipped["zero"])
+
+    @pytest.mark.parametrize("kind", ["band8", "mode8", "edge", "gap", "zero"])
+    def test_results_match_all_blocks(self, grid, part, kind):
+        fields = _fields(grid)
+        f, g = fields[kind], fields["band8"]
+        for spec in (lp.BesovSpec(0.5, 4.0, 2.0), lp.BesovSpec(-1.0, np.inf, np.inf)):
+            assert lp.besov_norm(f, spec) == _besov_oracle(f, spec, part)
+        for got, want in zip(lp.bony_decompose(f, g), _bony_oracle(f, g, part)):
+            assert np.array_equal(got.values, want)  # -0.0 == 0.0
+        for got, want in zip(lp.bony_decompose(g, f), _bony_oracle(g, f, part)):
+            assert np.array_equal(got.values, want)
+        rep = lp.log_inequality_ratio(f, 3.0)
+        sups = [sp.gradient_sup(b) for b in _all_blocks(f, part)]
+        term_mid = term_high = 0.0
+        for j, s in enumerate(sups):
+            if j < rep.n_split:
+                term_mid += s
+            else:
+                term_high += s
+        assert (rep.term_mid, rep.term_high) == (term_mid, term_high)
+
+    def test_band8_transform_counts(self, grid, monkeypatch):
+        # Band 8 at n = 128 leaves blocks j = 4, 5, 6 empty: 4 of 7 blocks
+        # are transformed.
+        f = _fields(grid)["band8"]
+        m = sp.OVERSAMPLE * grid.n
+        rows, calls = [], []
+        monkeypatch.setattr(np.fft, "irfft", _counting(np.fft.irfft, rows))
+        lp.log_inequality_ratio(f, 3.0)
+        assert sum(rows) == (3 + 3 * 4) * m  # w's pass and 4 block sups
+        rows.clear()
+        lp.besov_norm(f, lp.BesovSpec(0.5, 4.0, 2.0))
+        assert sum(rows) == 4 * m
+        monkeypatch.setattr(sp, "_inverse_columns", _counting(sp._inverse_columns, calls))
+        lp.bony_decompose(f, f)
+        assert len(calls) == 2 * 4

@@ -2,8 +2,8 @@
 
 The evolved state is the pair (w, j) = (curl u, curl b); velocities are
 recovered through Biot-Savart, which eliminates the pressure and keeps
-both fields divergence-free by construction.  The momentum/induction form
-is retained only as a cross-check oracle for the curl system.
+both fields divergence-free by construction.  The momentum/induction form,
+a cross-check oracle for the curl system, lives in tests/oracles.py.
 
 Time stepping is integrating-factor RK4: the stiff linear terms
 nu*Lambda^(2a) w and eta*Lambda^(2b) j are integrated exactly by
@@ -372,141 +372,3 @@ def make_initial(
         w = sp.random_band_field(grid, rng, band, amplitude)
         j = sp.random_band_field(grid, rng, band, amplitude)
     return MHDState(t=0.0, w=w, j=j)
-
-
-def rescale(state: MHDState, lam: int, gamma: float, tail_tol: float = 0.0) -> MHDState:
-    """Dilation xi -> lam*xi with amplitude factor lam^(2*gamma) on (w, j)
-    and time label t -> t / lam^(2*gamma); the lattice image of
-    u_lam(x, t) = lam^(2*gamma - 1) u(lam x, lam^(2*gamma) t).
-
-    lam must be a positive integer so the dilation preserves periodicity.
-    Modes whose dilated image leaves the dealiased band must carry at most
-    a `tail_tol` fraction of the spectral mass (0 = strict) or the
-    rescaling errors out.
-    """
-    if lam != int(lam) or lam < 1:
-        raise ValueError(f"lambda must be a positive integer, got {lam}")
-    lam = int(lam)
-    factor = float(lam) ** (2.0 * gamma)
-    if lam == 1:
-        return state
-    g = state.grid
-    n = g.n
-    cutoff = g.dealias_cutoff
-    k = g.k1[:, 0].astype(int)
-    inside = np.abs(k) * lam <= cutoff
-    keep = np.flatnonzero(inside)
-    target = (k[keep] * lam) % n
-    beyond = ~(inside[:, None] & inside[None, :])
-
-    def dilate(F: SpectralField) -> SpectralField:
-        mass = np.abs(F.coef) ** 2
-        total = float(mass.sum())
-        box = F.coef[np.ix_(keep, keep)]
-        if total > 0.0:
-            # The mass beyond the box is summed directly: total minus the
-            # box sum rounds to a nonzero fraction when nothing lies beyond.
-            dropped = np.sqrt(float(mass[beyond].sum()) / total)
-            if dropped > tail_tol:
-                raise ValueError(
-                    f"dilated spectrum exceeds resolution: {dropped:.3e} of the "
-                    f"spectral mass lies beyond max|xi| = {cutoff}/{lam}"
-                )
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[np.ix_(target, target)] = factor * box
-        return SpectralField(g, out)
-
-    return MHDState(t=state.t / factor, w=dilate(state.w), j=dilate(state.j))
-
-
-# --- primitive (velocity/magnetic) form: cross-check oracle ------------------
-
-
-@dataclass(frozen=True)
-class PrimitiveState:
-    """Divergence-free (u, b) as spectral components, at time t."""
-
-    u1: SpectralField
-    u2: SpectralField
-    b1: SpectralField
-    b2: SpectralField
-    t: float
-
-    def __post_init__(self):
-        sp._check_same_grid(self.u1, self.u2, self.b1, self.b2)
-
-    def divergence_defect(self) -> float:
-        top = max(
-            np.max(np.abs(f.coef)) for f in (self.u1, self.u2, self.b1, self.b2)
-        )
-        if top == 0.0:
-            return 0.0
-        return (
-            max(
-                np.max(np.abs(sp.divergence(self.u1, self.u2).coef)),
-                np.max(np.abs(sp.divergence(self.b1, self.b2).coef)),
-            )
-            / top
-        )
-
-
-def primitive_from_state(state: MHDState) -> PrimitiveState:
-    u1, u2 = sp.biot_savart(state.w)
-    b1, b2 = sp.biot_savart(state.j)
-    return PrimitiveState(u1, u2, b1, b2, state.t)
-
-
-def leray_project(v1: SpectralField, v2: SpectralField):
-    """Remove the gradient part: v - xi (xi.v)/|xi|^2; the mean is kept."""
-    sp._check_same_grid(v1, v2)
-    g = v1.grid
-    d = (g.k1 * v1.coef + g.k2 * v2.coef) * g.inv_ksq
-    return SpectralField(g, v1.coef - g.k1 * d), SpectralField(g, v2.coef - g.k2 * d)
-
-
-def primitive_rhs(pstate: PrimitiveState, config: SolverConfig) -> PrimitiveState:
-    """Tendency of the momentum/induction form:
-
-    du = P[-(u.grad)u + (b.grad)b] - nu Lambda^(2a) u
-    db = P[-(u.grad)b + (b.grad)u] - eta Lambda^(2b) b
-
-    P is the Leray projection (analytically redundant on db; applied as a
-    numerical safeguard).  Products are dealiased like the curl form.
-    """
-    g = pstate.u1.grid
-
-    def ir(F):
-        return sp.inverse(F).values
-
-    u1, u2, b1, b2 = ir(pstate.u1), ir(pstate.u2), ir(pstate.b1), ir(pstate.b2)
-    d = {}
-    for name, F in (("u1", pstate.u1), ("u2", pstate.u2), ("b1", pstate.b1), ("b2", pstate.b2)):
-        for ax in (1, 2):
-            d[name, ax] = ir(sp.partial_derivative(F, ax))
-
-    def advect(a1, a2, name):
-        return a1 * d[name, 1] + a2 * d[name, 2]
-
-    terms = {
-        "u1": -advect(u1, u2, "u1") + advect(b1, b2, "b1"),
-        "u2": -advect(u1, u2, "u2") + advect(b1, b2, "b2"),
-        "b1": -advect(u1, u2, "b1") + advect(b1, b2, "u1"),
-        "b2": -advect(u1, u2, "b2") + advect(b1, b2, "u2"),
-    }
-    out = {}
-    for name, phys in terms.items():
-        if not np.isfinite(phys).all():
-            raise SimulationAbort(pstate.t, f"non-finite value in a nonlinear product ({name})")
-        out[name] = sp.zero_mean(sp.dealias(sp.forward(sp.RealField(g, phys))))
-
-    du1, du2 = leray_project(out["u1"], out["u2"])
-    db1, db2 = leray_project(out["b1"], out["b2"])
-    visc = config.nu * sp.symbol_power(g, config.alpha)
-    diff = config.eta * sp.symbol_power(g, config.beta)
-    return PrimitiveState(
-        u1=SpectralField(g, du1.coef - visc * pstate.u1.coef),
-        u2=SpectralField(g, du2.coef - visc * pstate.u2.coef),
-        b1=SpectralField(g, db1.coef - diff * pstate.b1.coef),
-        b2=SpectralField(g, db2.coef - diff * pstate.b2.coef),
-        t=pstate.t,
-    )

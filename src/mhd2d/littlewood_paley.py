@@ -60,12 +60,6 @@ class DyadicPartition:
     def resolved(self) -> range:
         return range(self.j_max + 1)
 
-    def partition_residual(self) -> float:
-        """max over xi != 0 of |sum_j Phi_j(xi) - 1|."""
-        off = np.abs(self.phi.sum(axis=0) - 1.0)
-        off[0, 0] = 0.0  # xi = 0
-        return float(off.max())
-
 
 def build_partition(grid: TorusGrid) -> DyadicPartition:
     """The cached partition of a grid; every function below uses it."""
@@ -97,18 +91,6 @@ def dyadic_block(f: SpectralField, j: int) -> SpectralField:
     if mult is None:
         return SpectralField.zeros(f.grid)
     return SpectralField(f.grid, mult * f.coef)
-
-
-def low_pass(f: SpectralField, j: int) -> SpectralField:
-    """Running sum S_j f = sum_{l <= j-1} block_l f.
-
-    This is the convention of Bahouri, Chemin and Danchin, Fourier Analysis
-    and Nonlinear PDEs (Springer 2011), section 2.2; the paper's abstract in
-    PAPER.md does not settle it.  The blocks start at l = 0 and none
-    touches the mean mode, so S_j f = 0 for j <= 0 and S_j f = f - mean(f)
-    for j > j_max.  The S_{j-1} of `bony_decompose` is low_pass(f, j-1).
-    """
-    return SpectralField(f.grid, build_partition(f.grid).phi[: max(j, 0)].sum(axis=0) * f.coef)
 
 
 @dataclass(frozen=True)
@@ -162,9 +144,12 @@ def bony_decompose(f: SpectralField, g: SpectralField):
         T(f,g) = sum_j S_{j-1} f block_j g,
         R(f,g) = sum_{|i|<=1} sum_j block_j f block_{j+i} g
 
-    with S_{j-1} = sum_{l <= j-2} block_l = low_pass(f, j-1).  All block
-    products are formed on a 2x padded grid so the three parts (and their
-    sum) are alias-free; the returned RealFields live on that padded grid.
+    with S_{j-1} = sum_{l <= j-2} block_l.  This is the convention
+    S_j = sum_{l <= j-1} block_l of Bahouri, Chemin and Danchin, Fourier
+    Analysis and Nonlinear PDEs (Springer 2011), section 2.2; the paper's
+    abstract in PAPER.md does not settle it.  All block products are
+    formed on a 2x padded grid so the three parts (and their sum) are
+    alias-free; the returned RealFields live on that padded grid.
     """
     sp._check_same_grid(f, g)
     for name, F in (("f", f), ("g", g)):

@@ -43,10 +43,9 @@ Conventions used throughout the package:
   only a max or a sum, so it never holds the whole fine-grid array:
   `oversampled_rows` runs the real pass ROW_BLOCK fine rows at a time,
   each from a zero-tailed half spectrum of its own per field, bit for
-  bit the rows of `oversampled_values`, and `lp_norm`,
-  `pointwise_magnitude_sup` and `vorticity_gradient_rows` (the one
-  source of w and |grad u|^2 on that grid) reduce each block as it
-  comes.  The yielded buffers are scratch: the next block overwrites
+  bit the rows of `oversampled_values`, and `lp_norm` and
+  `vorticity_gradient_rows` (the one source of w and |grad u|^2 on that
+  grid) reduce each block as it comes.  The yielded buffers are scratch: the next block overwrites
   them.  Products of fields (the commutator, paraproduct, positivity and
   product diagnostics) still take whole arrays from `oversampled_values`.
 
@@ -84,9 +83,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Grid refinement for sup and L^p (p != 2) norms: `lp_norm`,
-# `vorticity_gradient_rows` and `pointwise_magnitude_sup` evaluate on an
-# OVERSAMPLE*n grid.
+# Grid refinement for sup and L^p (p != 2) norms: `lp_norm` and
+# `vorticity_gradient_rows` evaluate on an OVERSAMPLE*n grid.
 OVERSAMPLE = 4
 # Fine-grid rows per block of `oversampled_rows`.
 ROW_BLOCK = 32
@@ -390,26 +388,6 @@ def velocity_gradient(w: SpectralField):
     return tuple(SpectralField(w.grid, c) for c in (d11, d21, d12, -d11))
 
 
-def curl(v1: SpectralField, v2: SpectralField) -> SpectralField:
-    """Scalar curl d1 v2 - d2 v1."""
-    _check_same_grid(v1, v2)
-    g = v1.grid
-    coef = 1j * (g.kd1 * v2.coef - g.kd2 * v1.coef)
-    return SpectralField(g, coef)
-
-
-def divergence(v1: SpectralField, v2: SpectralField) -> SpectralField:
-    _check_same_grid(v1, v2)
-    g = v1.grid
-    coef = 1j * (g.kd1 * v1.coef + g.kd2 * v2.coef)
-    return SpectralField(g, coef)
-
-
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero every mode with max(|xi_1|, |xi_2|) > n/3 (the 2/3 rule)."""
-    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coef, 0.0))
-
-
 def zero_mean(F: SpectralField) -> SpectralField:
     """Copy with the xi=0 coefficient set exactly to zero."""
     coef = F.coef.copy()
@@ -453,9 +431,10 @@ def active_band(F: SpectralField) -> int:
 def _occupied_columns(F: SpectralField, factor: int) -> np.ndarray:
     """F's leading half-spectrum columns up to the last nonzero one, all n
     rows (a view).  For factor > 1 the spectrum must be Nyquist-free (max
-    component <= n/2 - 1), which every dealiased field satisfies."""
+    component <= n/2 - 1), which every dealiased field satisfies: only a
+    field that is not pays for the `active_band` scan."""
     n = F.grid.n
-    if factor > 1 and active_band(F) > n // 2 - 1:
+    if factor > 1 and not F.dealiased and active_band(F) > n // 2 - 1:
         raise ValueError("field carries Nyquist content; cannot oversample exactly")
     occupied = np.flatnonzero(F.coef[:, : n // 2 + 1].any(axis=0))
     width = int(occupied[-1]) + 1 if occupied.size else 1
@@ -601,18 +580,6 @@ def vorticity_gradient_sups(w: SpectralField):
 def gradient_sup(w: SpectralField) -> float:
     """OVERSAMPLE-grid max of |grad u| for the u with curl u = w."""
     return vorticity_gradient_sups(w)[1]
-
-
-def pointwise_magnitude_sup(fields) -> float:
-    """OVERSAMPLE-grid max of sqrt(sum_i f_i(x)^2) for a tuple of spectral
-    fields."""
-    tops = []
-    for vals in oversampled_rows(fields):
-        acc = vals[0] ** 2
-        for v in vals[1:]:
-            acc += v**2
-        tops.append(acc.max())
-    return float(np.sqrt(np.max(tops)))
 
 
 # --- random data -----------------------------------------------------------

@@ -34,12 +34,13 @@ stacked alike, so each RK stage and the update are written once for the
 pair.  The blocks become the full n x n layout only when `step` and
 `vorticity_rhs` return.
 
-Each `step` makes one workspace (`_workspace`) and passes it to its four
-stages.  Every product and transform of a stage writes into it with
-`out=`; the cross product u1 b2 - u2 b1 is held while the squares are
-taken in place in the velocity arrays, so two real arrays beyond the
-velocities serve all three products.  The workspace is
-not cached, so no n x n scratch outlives a step.
+Each RK stage makes its own workspace (`_workspace`).  Every product and
+transform of the stage writes into it with `out=`; the cross product
+u1 b2 - u2 b1 is held while the squares are taken in place in the
+velocity arrays, so two real arrays beyond the velocities serve all
+three products.  The workspace is not cached, so no n x n scratch
+outlives a stage.  `step` forms the stage inputs and the update as the
+plain IF-RK4 expressions.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _half_multipliers(n: int):
 
 
 def _workspace(n: int):
-    """Scratch for one step: 6 n x n real arrays (u1, u2, b1, b2, one
+    """Scratch for one RK stage: 6 n x n real arrays (u1, u2, b1, b2, one
     product, one temporary) and a zero-tailed n x (n/2 + 1) half spectrum."""
     return np.empty((6, n, n)), np.zeros((n, n // 2 + 1), dtype=np.complex128)
 
@@ -176,10 +177,10 @@ def _dt_bound(grid: TorusGrid, ws) -> float:
     return np.inf if vmax == 0.0 else 0.5 * grid.spacing / vmax
 
 
-def _nonlinear_half(grid: TorusGrid, wj, t: float, ws, h: float | None = None):
+def _nonlinear_half(grid: TorusGrid, wj, t: float, h: float | None = None):
     """Non-stiff right-hand side of the curl system at time t, on the
     stacked compact blocks wj of (w, j); returns (dw, dj) stacked alike.
-    ws is the step's workspace; every transform runs in it.
+    Every transform runs in a workspace of the call's own, freed on return.
 
     dw_hat = (k1^2 - k2^2) P[FT(u1 u2 - b1 b2)]
              + k1 k2 P[FT((u2^2 - u1^2) - (b2^2 - b1^2))]
@@ -195,6 +196,7 @@ def _nonlinear_half(grid: TorusGrid, wj, t: float, ws, h: float | None = None):
     """
     n = grid.n
     _, _, k11_22, k12, lap = _half_multipliers(n)
+    ws = _workspace(n)
     u1, u2, b1, b2, prod, tmp = ws[0]
     dwj = np.empty_like(wj)
     d0, d1 = dwj  # also the Biot-Savart and transform scratch, until the tendencies land
@@ -224,7 +226,7 @@ def _nonlinear_half(grid: TorusGrid, wj, t: float, ws, h: float | None = None):
 def vorticity_rhs(state: MHDState):
     """Non-stiff part of the curl-system tendency as spectral fields."""
     g = state.grid
-    dwj = _nonlinear_half(g, _pair(state), state.t, _workspace(g.n))
+    dwj = _nonlinear_half(g, _pair(state), state.t)
     return tuple(SpectralField(g, sp._hermitian_extend(d, g.n)) for d in dwj)
 
 
@@ -239,11 +241,11 @@ def _integrating_factors(n, dt, nu, alpha, eta, beta):
 
 def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDState:
     """Advance one step of integrating-factor RK4 on the stacked (w, j), each
-    stage at its own time.  The advective step bound is checked on the
-    stage-1 velocities, at no extra transforms; an abort carries the input,
-    also when the update is not finite.  The four stages share one
-    workspace, made here and freed before the update.  A `dt` override
-    must be finite and positive (ValueError)."""
+    stage at its own time; the stage inputs and the update are the IF-RK4
+    expressions.  The advective step bound is checked on the stage-1
+    velocities, at no extra transforms; an abort carries the input, also
+    when the update is not finite.  A `dt` override must be finite and
+    positive (ValueError)."""
     g = state.grid
     if g.n != config.n:
         raise sp.GridMismatchError(f"state grid n={g.n} != config n={config.n}")
@@ -254,36 +256,16 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
         g.n, h, float(config.nu), float(config.alpha), float(config.eta), float(config.beta)
     )
     wj, t = _pair(state), state.t
-    ws = _workspace(g.n)
-    # Stage inputs and the update are written into x, with y and the real
-    # factor r as scratch, each product in the order of the formula.
-    x, y, r = np.empty_like(wj), np.empty_like(wj), np.empty(wj.shape)
-
     th = t + 0.5 * h
     try:
-        k1 = _nonlinear_half(g, wj, t, ws, h)
-        np.multiply(0.5 * h, k1, out=x)  # eh * (wj + 0.5 h k1)
-        np.add(wj, x, out=x)
-        k2 = _nonlinear_half(g, np.multiply(eh, x, out=x), th, ws)
-        np.multiply(eh, wj, out=x)  # eh wj + 0.5 h k2
-        x += np.multiply(0.5 * h, k2, out=y)
-        k3 = _nonlinear_half(g, x, th, ws)
-        np.multiply(ef, wj, out=x)  # ef wj + (h eh) k3
-        x += np.multiply(np.multiply(h, eh, out=r), k3, out=y)
-        k4 = _nonlinear_half(g, x, t + h, ws)
-        del ws  # freed before the update, so the two peaks do not add
+        k1 = _nonlinear_half(g, wj, t, h)
+        k2 = _nonlinear_half(g, eh * (wj + 0.5 * h * k1), th)
+        k3 = _nonlinear_half(g, eh * wj + 0.5 * h * k2, th)
+        k4 = _nonlinear_half(g, ef * wj + (h * eh) * k3, t + h)
     except SimulationAbort as err:
         err.state = state
         raise
-
-    # ef wj + (h/6) (ef k1 + (2 eh) (k2 + k3) + k4), into x
-    np.multiply(ef, k1, out=k1)
-    k2 += k3
-    k1 += np.multiply(np.multiply(2.0, eh, out=r), k2, out=k2)
-    k1 += k4
-    np.multiply(h / 6.0, k1, out=k1)
-    np.multiply(ef, wj, out=x)
-    x += k1
+    x = ef * wj + (h / 6.0) * (ef * k1 + (2.0 * eh) * (k2 + k3) + k4)
     if not np.isfinite(x).all():
         raise SimulationAbort(t, "non-finite value in the update", state)
     out = MHDState(t + h, *(SpectralField(g, sp._hermitian_extend(c, g.n)) for c in x))

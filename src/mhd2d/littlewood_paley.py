@@ -156,30 +156,30 @@ def bony_decompose(f: SpectralField, g: SpectralField):
         if not F.is_zero_mean():
             raise sp.MeanModeError(f"{name} must be zero-mean for the paraproduct split")
     fine = sp.TorusGrid(2 * f.grid.n)
-    zero = sp._frozen(np.zeros((fine.n, fine.n)))  # every zero block
+    # None marks an empty block, whose terms add exactly 0.0 and are skipped.
     f_blocks, g_blocks = (
-        [zero if b is None else sp.oversampled_values(b, 2) for b in nonzero_blocks(h)]
+        [None if b is None else sp.oversampled_values(b, 2) for b in nonzero_blocks(h)]
         for h in (f, g)
     )
-    count = len(f_blocks)
 
     def paraproduct(lows, highs):
-        acc = np.zeros_like(lows[0])
-        running = np.zeros_like(lows[0])
-        for idx in range(count):
+        acc = np.zeros((fine.n, fine.n))
+        running = np.zeros_like(acc)
+        for idx, high in enumerate(highs):
             # running holds sum_{l <= j-2} at the time block j is consumed
-            if idx >= 2:
+            if idx >= 2 and lows[idx - 2] is not None:
                 running += lows[idx - 2]
-            acc += running * highs[idx]
+            if high is not None:
+                acc += running * high
         return acc
 
     t_fg = paraproduct(f_blocks, g_blocks)
     t_gf = paraproduct(g_blocks, f_blocks)
     r_fg = np.zeros_like(t_fg)
-    for a in range(count):
-        for b in (a - 1, a, a + 1):
-            if 0 <= b < count:
-                r_fg += f_blocks[a] * g_blocks[b]
+    for a, fa in enumerate(f_blocks):
+        for gb in g_blocks[max(a - 1, 0) : a + 2]:
+            if fa is not None and gb is not None:
+                r_fg += fa * gb
     return (
         sp.RealField(fine, t_fg),
         sp.RealField(fine, r_fg),

@@ -36,7 +36,7 @@ Conventions used throughout the package:
   the same bits, but runs faster on a full-width (rows, m//2 + 1) input
   whose tail is zero already (by 7 to 25% on 4x-grid row blocks at
   n = 128 to 512, numpy 2.4 pocketfft on a 2-core Xeon).  So a reused
-  buffer (the step's workspace, the pads of `oversampled_rows`) takes
+  buffer (a stage's workspace, the pads of `oversampled_rows`) takes
   the complex pass in its leading columns; a one-off transform reads its
   short complex pass rather than allocate a zero tail.
 * Row blocks.  A sup or L^p (p != 2) norm on the OVERSAMPLE grid needs
@@ -280,15 +280,14 @@ def _hermitian_extend(half: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def _inverse_columns(block: np.ndarray, m: int, out=None, half=None) -> np.ndarray:
+def _inverse_columns(block: np.ndarray, m: int, half: np.ndarray, out=None) -> np.ndarray:
     """m x m real samples from the leading half-spectrum columns `block`
     (m rows, the columns not given are zero); irfft2 bit for bit.
 
-    `out` takes the samples; `half` is a complex scratch of m rows whose
-    columns from block.shape[1] on are zero, and stay so: a zero-tailed
-    (m, m//2 + 1) one, or `block` itself, which the complex pass overwrites."""
-    if half is None:
-        return np.fft.irfft(np.fft.ifft(block, axis=0), n=m, axis=1, out=out)
+    `half` is a complex scratch of m rows whose columns from
+    block.shape[1] on are zero, and stay so: a zero-tailed (m, m//2 + 1)
+    one, or `block` itself, which the complex pass overwrites; `out` takes
+    the samples."""
     np.fft.ifft(block, axis=0, out=half[:, : block.shape[1]])
     return np.fft.irfft(half, n=m, axis=1, out=out)
 

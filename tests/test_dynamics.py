@@ -316,8 +316,8 @@ class TestStep:
         assert times == [0.3, 0.3 + h / 2, 0.3 + h / 2, 0.3 + h]
 
     def test_combinations_follow_the_formula_bit_for_bit(self, monkeypatch):
-        # The stage inputs and the update are written in place; each must
-        # equal the IF-RK4 expression evaluated with fresh temporaries.
+        # Each stage input and the update must equal its IF-RK4 expression,
+        # with the products grouped as written here.
         cfg = ideal_config(n=32, nu=0.01, alpha=1.0, eta=0.02, beta=1.5)
         state = random_state(n=32, band=10, seed=6)
         h = cfg.dt
@@ -396,6 +396,25 @@ class TestStep:
                 dyn.step(state, ideal_config(n=32))
         assert info.value.state is state
         assert info.value.t == 0.3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_an_abort_in_any_stage_carries_the_input(self, monkeypatch, k):
+        state = dataclasses.replace(random_state(n=32, band=10), t=0.3)
+        h = 0.01
+        calls = []
+        real = dyn._nonlinear_half
+
+        def spy(grid, wj, t, *args):
+            calls.append(t)
+            if len(calls) == k:
+                raise dyn.SimulationAbort(t, "stage abort")
+            return real(grid, wj, t, *args)
+
+        monkeypatch.setattr(dyn, "_nonlinear_half", spy)
+        with pytest.raises(dyn.SimulationAbort, match="stage abort") as info:
+            dyn.step(state, ideal_config(n=32), h)
+        assert info.value.state is state
+        assert info.value.t == [0.3, 0.3 + h / 2, 0.3 + h / 2, 0.3 + h][k - 1]
 
     def test_blowup_raises_simulation_abort(self):
         state = random_state(n=32, band=10, seed=5, amp=300.0)

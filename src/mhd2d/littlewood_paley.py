@@ -256,7 +256,7 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     n_split = min(max(n_split, 1), partition.j_max)
     term_mid = term_high = 0.0
     for j, block in enumerate(nonzero_blocks(w)):
-        block_sup = 0.0 if block is None else sp.gradient_sup(block)
+        block_sup = 0.0 if block is None else sp.vorticity_gradient_sups(block)[1]
         if j < n_split:
             term_mid += block_sup
         else:

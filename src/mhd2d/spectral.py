@@ -21,33 +21,34 @@ Conventions used throughout the package:
   2/3-dealiased field).  A real 2D transform is a complex pass along
   axis 0, one 1D transform per half-spectrum column, and a real pass
   along axis 1.  Every transform in the package runs these two passes on
-  the leading columns only, in `_inverse_columns`, `_forward_columns` or
-  `_fine_rows` (the row pass of `oversampled_rows`); `_fine_columns`
-  zero-pads a field's columns to the rows of a finer grid.  Every skipped column is exactly zero and every
-  1D transform that runs is the one rfft2/irfft2 would run, so the
-  results are bit-identical to the full-width transforms.
+  the leading columns only: an RK stage's in `_inverse_columns` and
+  `_forward_columns`, and every evaluation on a grid (the collocation
+  grid or a finer one) in `_fine_rows`, which zero-pads a field's
+  columns to the rows of that grid.  Every skipped column is exactly
+  zero and every 1D transform that runs is the one rfft2/irfft2 would
+  run, so the results are bit-identical to the full-width transforms.
 * The factor^2 of a fine grid.  Evaluating on a factor-times finer grid
   needs the inverse transform of that grid times factor^2.
-  `_fine_columns` writes factor^2 * coef while it zero-pads, so no pass
-  sweeps the fine grid again.  factor^2 is a power of two, so scaling the
-  input gives the bits of scaling the output (barring overflow and
-  underflow).
+  `_fine_rows` writes factor^2 * coef while it zero-pads, so no pass
+  sweeps the fine grid again.  For a power-of-two factor (every one the
+  package uses) so is factor^2, and scaling the input gives the bits of
+  scaling the output (barring overflow and underflow).
 * Zero-tailed half spectrum.  irfft pads a short input with zeros, with
   the same bits, but runs faster on a full-width (rows, m//2 + 1) input
   whose tail is zero already (by 7 to 25% on 4x-grid row blocks at
-  n = 128 to 512, numpy 2.4 pocketfft on a 2-core Xeon).  So a reused
-  buffer (a stage's workspace, the pads of `oversampled_rows`) takes
-  the complex pass in its leading columns; a one-off transform reads its
-  short complex pass rather than allocate a zero tail.
-* Row blocks.  A sup or L^p (p != 2) norm on the OVERSAMPLE grid needs
-  only a max or a sum, so it never holds the whole fine-grid array:
-  `oversampled_rows` runs the real pass ROW_BLOCK fine rows at a time,
-  each from a zero-tailed half spectrum of its own per field, bit for
-  bit the rows of `oversampled_values`, and `lp_norm` and
-  `vorticity_gradient_rows` (the one source of w and |grad u|^2 on that
-  grid) reduce each block as it comes.  The yielded buffers are scratch: the next block overwrites
-  them.  Products of fields (the commutator, paraproduct, positivity and
-  product diagnostics) still take whole arrays from `oversampled_values`.
+  n = 128 to 512, numpy 2.4 pocketfft on a 2-core Xeon).  So every real
+  pass reads a reused zero-tailed buffer that takes the complex pass in
+  its leading columns: a stage's workspace, or the per-field pads of
+  `_fine_rows`.
+* Row blocks.  `_fine_rows` runs the real pass gcd(ROW_BLOCK, m) rows of
+  an m-row grid at a time, from a zero-tailed half spectrum per field.
+  `oversampled_values` (so `inverse`, and the products of fields in the
+  commutator, paraproduct, positivity and product diagnostics) writes
+  the blocks into one whole array.  A sup or L^p (p != 2) norm on the
+  OVERSAMPLE grid needs only a max or a sum: `oversampled_rows` yields
+  each block in scratch that the next block overwrites, and `lp_norm`
+  and `vorticity_gradient_rows` (the one source of w and |grad u|^2 on
+  that grid) reduce each block as it comes.
 
 Where each invariant is checked:
 
@@ -282,12 +283,9 @@ def _hermitian_extend(half: np.ndarray, n: int) -> np.ndarray:
 
 def _inverse_columns(block: np.ndarray, m: int, half: np.ndarray, out=None) -> np.ndarray:
     """m x m real samples from the leading half-spectrum columns `block`
-    (m rows, the columns not given are zero); irfft2 bit for bit.
-
-    `half` is a complex scratch of m rows whose columns from
-    block.shape[1] on are zero, and stay so: a zero-tailed (m, m//2 + 1)
-    one, or `block` itself, which the complex pass overwrites; `out` takes
-    the samples."""
+    (m rows, the columns not given are zero) for an RK stage; irfft2 bit
+    for bit.  `half` is a zero-tailed (m, m//2 + 1) complex scratch whose
+    tail stays zero; `out` takes the samples."""
     np.fft.ifft(block, axis=0, out=half[:, : block.shape[1]])
     return np.fft.irfft(half, n=m, axis=1, out=out)
 
@@ -440,26 +438,16 @@ def _occupied_columns(F: SpectralField, factor: int) -> np.ndarray:
     return F.coef[:, :width]
 
 
-def _fine_columns(cols: np.ndarray, factor: int) -> np.ndarray:
-    """Leading half-spectrum columns `cols` (n rows) zero-padded to the
-    factor*n rows of the factor-times finer grid and scaled by factor**2,
-    so that the inverse transform on that grid gives the values of the
-    trigonometric polynomial (module docstring)."""
-    n = cols.shape[0]
-    m = factor * n
-    block = np.zeros((m, cols.shape[1]), dtype=np.complex128)
-    np.multiply(cols[: n // 2], factor**2, out=block[: n // 2])
-    np.multiply(cols[n // 2 :], factor**2, out=block[m - n // 2 :])
-    return block
-
-
 def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a factor-times finer grid;
     factor 1 gives the collocation samples of `inverse`.  The whole
     (factor*n)^2 array: sup and L^p reductions on the OVERSAMPLE grid go
     through `oversampled_rows` instead."""
-    block = _fine_columns(_occupied_columns(F, factor), factor)
-    return _inverse_columns(block, factor * F.grid.n, half=block)
+    m = factor * F.grid.n
+    values = np.empty((m, m))
+    for _ in _fine_rows([_occupied_columns(F, factor)], factor, out=[values]):
+        pass
+    return values
 
 
 def oversampled_rows(fields):
@@ -471,25 +459,37 @@ def oversampled_rows(fields):
     the next block, which the caller may also overwrite.
     """
     _check_same_grid(*fields)
-    yield from _fine_rows([_occupied_columns(F, OVERSAMPLE) for F in fields])
+    yield from _fine_rows([_occupied_columns(F, OVERSAMPLE) for F in fields], OVERSAMPLE)
 
 
-def _fine_rows(leading):
-    """`oversampled_rows` from the leading half-spectrum columns (n rows)
-    of each field."""
-    m = OVERSAMPLE * leading[0].shape[0]  # >= 32 and a power of two: whole blocks
-    blocks = [_fine_columns(c, OVERSAMPLE) for c in leading]
-    for b in blocks:
+def _fine_rows(leading, factor, out=None):
+    """Values of the fields with leading half-spectrum columns `leading`
+    (n rows each) on the factor-times finer grid, gcd(ROW_BLOCK, m) of
+    its m = factor*n rows at a time: yields one array per field, the rows
+    of `out` (one (m, m) array per field) or else scratch that the next
+    block overwrites.  The columns are zero-padded, scaled by factor**2
+    and take the complex pass whole (module docstring)."""
+    n = leading[0].shape[0]
+    m = factor * n
+    rows = int(np.gcd(ROW_BLOCK, m))  # whole blocks, for any factor
+    blocks = []
+    for cols in leading:
+        b = np.zeros((m, cols.shape[1]), dtype=np.complex128)
+        np.multiply(cols[: n // 2], factor**2, out=b[: n // 2])
+        np.multiply(cols[n // 2 :], factor**2, out=b[m - n // 2 :])
         np.fft.ifft(b, axis=0, out=b)  # the complex pass, in place
+        blocks.append(b)
     # One zero-tailed half spectrum per field: a shared one would hand a
     # narrower field the stale columns of a wider one.
-    pads = [np.zeros((ROW_BLOCK, m // 2 + 1), dtype=np.complex128) for _ in leading]
-    bufs = [np.empty((ROW_BLOCK, m)) for _ in leading]
-    for r in range(0, m, ROW_BLOCK):
-        for b, pad, buf in zip(blocks, pads, bufs):
-            pad[:, : b.shape[1]] = b[r : r + ROW_BLOCK]
-            np.fft.irfft(pad, n=m, axis=1, out=buf)
-        yield bufs
+    pads = [np.zeros((rows, m // 2 + 1), dtype=np.complex128) for _ in leading]
+    if out is None:
+        bufs = [np.empty((rows, m)) for _ in leading]
+    for r in range(0, m, rows):
+        dests = bufs if out is None else [o[r : r + rows] for o in out]
+        for b, pad, dest in zip(blocks, pads, dests):
+            pad[:, : b.shape[1]] = b[r : r + rows]
+            np.fft.irfft(pad, n=m, axis=1, out=dest)
+        yield dests
 
 
 def _oversample_factor_for(*bands, n: int, margin: int = 1) -> int:
@@ -538,7 +538,9 @@ def lp_of_samples(blocks, p: float) -> float:
 
 def lp_norm(F: SpectralField, p: float) -> float:
     """L^p norm over [0, 2pi)^2; p=2 by Parseval, otherwise the field is
-    evaluated on the OVERSAMPLE grid (grid max for p = inf)."""
+    evaluated on the OVERSAMPLE grid (grid max for p = inf); p in [1, inf]."""
+    if not 1.0 <= p <= np.inf:  # NaN fails too
+        raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     if p == 2:
         return l2_norm(F)
     return lp_of_samples((v for v, in oversampled_rows((F,))), p)
@@ -558,7 +560,7 @@ def vorticity_gradient_rows(w: SpectralField):
     c11, c21, c12 = _gradient_coefs(w.grid, cols)
     c12 += c21
     w_sq = np.empty((ROW_BLOCK, OVERSAMPLE * w.grid.n))
-    for v, d11, sigma in _fine_rows((cols, c11, c12)):
+    for v, d11, sigma in _fine_rows((cols, c11, c12), OVERSAMPLE):
         np.square(sigma, out=sigma)
         sigma += np.square(v, out=w_sq)
         sigma *= 0.5
@@ -576,11 +578,6 @@ def vorticity_gradient_sups(w: SpectralField):
     return float(top_w), float(np.sqrt(top_sq))
 
 
-def gradient_sup(w: SpectralField) -> float:
-    """OVERSAMPLE-grid max of |grad u| for the u with curl u = w."""
-    return vorticity_gradient_sups(w)[1]
-
-
 # --- random data -----------------------------------------------------------
 
 def random_band_field(
@@ -590,7 +587,9 @@ def random_band_field(
     amplitude: float = 1.0,
 ) -> SpectralField:
     """Seeded random real field with spectrum confined to 1 <= |xi| <= band,
-    normalized so ||f||_{L^2} = amplitude (zero field for amplitude 0)."""
+    normalized so ||f||_{L^2} = amplitude >= 0 (zero field for amplitude 0)."""
+    if amplitude < 0.0:
+        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
     if band < 1 or band > grid.n // 2 - 1:
         raise ValueError(f"band must lie in [1, n/2-1], got {band}")
     noise = rng.standard_normal((grid.n, grid.n))

@@ -319,6 +319,21 @@ class TestNorms:
         b = sp.random_band_field(grid64, np.random.default_rng(77), band=9)
         assert np.array_equal(a.coef, b.coef)
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, np.nan])
+    def test_lp_norm_rejects_p_outside_one_to_inf(self, monkeypatch, p):
+        F = sp.random_band_field(sp.TorusGrid(32), np.random.default_rng(5), band=5)
+
+        def transform(*args, **kwargs):
+            raise AssertionError("a transform ran before p was checked")
+
+        monkeypatch.setattr(np.fft, "irfft", transform)
+        with pytest.raises(ValueError, match="exponent p"):
+            sp.lp_norm(F, p)
+
+    def test_random_band_field_rejects_negative_amplitude(self, grid64):
+        with pytest.raises(ValueError, match="amplitude"):
+            sp.random_band_field(grid64, np.random.default_rng(1), band=5, amplitude=-1.0)
+
 
 def _nyquist_free_field(g, rng):
     """Random real field with content in every mode up to max component n/2 - 1."""
@@ -384,20 +399,31 @@ class TestCompactColumns:
             assert np.array_equal(sp._hermitian_extend(half[:, :width], n), full)
             assert sp.SpectralField(sp.TorusGrid(n), full).hermitian_defect() == 0.0
 
-    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     @pytest.mark.parametrize("kind", ["band8", "nyquist-free", "zero"])
     def test_oversampled_values_match_zero_padded_reference(self, n, factor, kind):
         # factor^2 is applied to the coefficients as they are padded, the
-        # reference scales the transform's output: the same bits.
+        # reference scales the transform's output: the same bits.  At
+        # n = 8 and 16 the grids of factors 1 and 2 have fewer rows than
+        # ROW_BLOCK.
         g = sp.TorusGrid(n)
         rng = np.random.default_rng(factor)
         F = {
-            "band8": lambda: sp.random_band_field(g, rng, band=8),
+            "band8": lambda: sp.random_band_field(g, rng, band=min(8, n // 2 - 1)),
             "nyquist-free": lambda: _nyquist_free_field(g, rng),
             "zero": lambda: sp.SpectralField.zeros(g),
         }[kind]()
         assert np.array_equal(sp.oversampled_values(F, factor), _zero_padded_oversample(F, factor))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_oversampled_values_at_factor_three(self, n):
+        # At n = 16 the 48 rows are no whole number of ROW_BLOCK-row
+        # blocks.  factor^2 = 9 is not a power of two, so the reference
+        # agrees to round-off, not bit for bit.
+        F = _nyquist_free_field(sp.TorusGrid(n), np.random.default_rng(n))
+        ref = _zero_padded_oversample(F, 3)
+        assert np.max(np.abs(sp.oversampled_values(F, 3) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_gradient_magnitude_uses_the_trace_free_identity(self, grid64):
         # The rows take |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2, sigma =
@@ -412,7 +438,7 @@ class TestCompactColumns:
         grad_sq = np.concatenate([sq for _, sq in rows])
         assert np.max(np.abs(grad_sq - four)) <= 1e-14 * four.max()
         exact = float(np.sqrt(four.max()))
-        assert sp.gradient_sup(w) == pytest.approx(exact, rel=1e-14)
+        assert sp.vorticity_gradient_sups(w)[1] == pytest.approx(exact, rel=1e-14)
 
     def test_compute_record_makes_three_transforms(self, monkeypatch):
         # One real pass over the OVERSAMPLE grid each for w, d1u1 and the
@@ -618,6 +644,19 @@ def test_no_two_dimensional_fft_in_the_package():
         if isinstance(node, ast.Attribute) and node.attr in banned
     ]
     assert used == []
+
+
+def test_only_the_rk_stage_calls_inverse_columns():
+    """`_inverse_columns` is the stage's transform; every evaluation on a
+    grid goes through `_fine_rows`."""
+    callers = [
+        path.name
+        for path in sorted(Path(sp.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_inverse_columns"
+    ]
+    assert callers == ["dynamics.py"]
 
 
 class TestSymbolPower:

@@ -137,7 +137,7 @@ def energy_budget_residual(records, config) -> float:
 def gn_ratio(f: SpectralField, beta: float) -> float:
     """||f||_inf / (||f||_2^((beta-1)/beta) ||Lambda^beta f||_2^(1/beta)),
     the sup-norm interpolation ratio; requires beta > 1, zero-mean f."""
-    if beta <= 1.0:
+    if not beta > 1.0:  # NaN fails too
         raise ValueError(f"interpolation exponent must exceed 1, got beta={beta}")
     l2 = sp.l2_norm(f)
     if l2 == 0.0:
@@ -157,7 +157,7 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     defining p by Hoelder; implemented exponents come from {2, 4, inf}.
     Returns 0 when the commutator vanishes identically.
     """
-    if s <= 0:
+    if not s > 0:  # NaN fails too
         raise ValueError(f"order s must be positive, got {s}")
     if s < 1.0 and not g.is_zero_mean():
         raise sp.MeanModeError("Lambda^(s-1) with s < 1 needs zero-mean g")
@@ -248,24 +248,3 @@ def cz_ratio(w: SpectralField, p: float) -> float:
         sum_w += sp.power_sum(v, p)
         count += v.size
     return sp.lp_of_power_mean(sum_grad / count, p) / sp.lp_of_power_mean(sum_w / count, p)
-
-
-def classify_growth(times, values) -> str:
-    """Crude bounded/growing call: 'growing' when the max over the second
-    half of the run exceeds twice the max over the first half."""
-    times = np.asarray(times)
-    values = np.asarray(values)
-    mid = 0.5 * (times[0] + times[-1])
-    first = values[times <= mid]
-    last = values[times >= mid]
-    if first.size == 0 or last.size == 0:
-        return "bounded"
-    top = first.max()
-    if top == 0.0:
-        return "growing" if last.max() > 0 else "bounded"
-    return "growing" if last.max() > 2.0 * top else "bounded"
-
-
-def hgamma_b_norm(state, gamma: float) -> float:
-    """||Lambda^gamma b|| from the current (curl) state."""
-    return math.sqrt(_curl_sobolev_sq(state.j, gamma))

@@ -135,13 +135,12 @@ def _pair(state: MHDState):
     return np.stack([_block(state.grid, f.coef) for f in (state.w, state.j)])
 
 
-@functools.lru_cache(maxsize=32)
-def _half_multipliers(n: int):
+@functools.cache
+def _half_multipliers(g: TorusGrid):
     """Compact-block Biot-Savart multipliers and the 2/3-masked symbols of
     -(d1^2 - d2^2), -d1 d2 and -Lap: k1^2 - k2^2, k1 k2 and |xi|^2.  All
     vanish at xi = 0, so means stay exactly 0; the last three are real and
     even in xi, so they keep a half spectrum Hermitian."""
-    g = TorusGrid(n)
     k1, k2, ksq, mask = (_block(g, a) for a in (g.k1, g.k2, g.ksq, g.dealias_mask))
     bs = (_block(g, m) for m in sp._biot_savart_symbols(g))
     even = ((k1 * k1 - k2 * k2) * mask, k1 * k2 * mask, ksq * mask)
@@ -154,15 +153,15 @@ def _workspace(n: int):
     return np.empty((6, n, n)), np.zeros((n, n // 2 + 1), dtype=np.complex128)
 
 
-def _velocities(n: int, wj, ws, coef):
+def _velocities(grid: TorusGrid, wj, ws, coef):
     """Physical (u1, u2, b1, b2) from the stacked blocks wj by Biot-Savart,
     into the first four arrays of the workspace ws; `coef` is a scratch
     block shaped like wj[0]."""
     real, half = ws
-    bs = _half_multipliers(n)[:2]
+    bs = _half_multipliers(grid)[:2]
     for c, pair in zip(wj, (real[:2], real[2:4])):
         for m, out in zip(bs, pair):
-            sp._inverse_columns(np.multiply(m, c, out=coef), n, out=out, half=half)
+            sp._inverse_columns(np.multiply(m, c, out=coef), grid.n, out=out, half=half)
 
 
 def _dt_bound(grid: TorusGrid, ws) -> float:
@@ -194,13 +193,12 @@ def _nonlinear_half(grid: TorusGrid, wj, t: float, h: float | None = None):
     If h is given, the advective step bound h <= 0.5*spacing/max(|u|,|b|)
     is checked on the physical u and b before the products are formed.
     """
-    n = grid.n
-    _, _, k11_22, k12, lap = _half_multipliers(n)
-    ws = _workspace(n)
+    _, _, k11_22, k12, lap = _half_multipliers(grid)
+    ws = _workspace(grid.n)
     u1, u2, b1, b2, prod, tmp = ws[0]
     dwj = np.empty_like(wj)
     d0, d1 = dwj  # also the Biot-Savart and transform scratch, until the tendencies land
-    _velocities(n, wj, ws, d0)
+    _velocities(grid, wj, ws, d0)
     if h is not None and h > (bound := _dt_bound(grid, ws)):
         raise SimulationAbort(t, f"advective step bound violated: dt={h:g} > {bound:g}")
     np.multiply(u1, u2, out=prod)
@@ -231,10 +229,9 @@ def vorticity_rhs(state: MHDState):
 
 
 @functools.lru_cache(maxsize=16)
-def _integrating_factors(n, dt, nu, alpha, eta, beta):
+def _integrating_factors(g, dt, nu, alpha, eta, beta):
     """Read-only exp(-L dt/2) and exp(-L dt), L = (nu|xi|^(2a), eta|xi|^(2b))
     stacked like (w, j): exact linear flow over a half step and a step."""
-    g = TorusGrid(n)
     lam = np.stack([c * _block(g, sp.symbol_power(g, e)) for c, e in ((nu, alpha), (eta, beta))])
     return sp._frozen(np.exp(-0.5 * dt * lam)), sp._frozen(np.exp(-dt * lam))
 
@@ -253,7 +250,7 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     eh, ef = _integrating_factors(
-        g.n, h, float(config.nu), float(config.alpha), float(config.eta), float(config.beta)
+        g, h, float(config.nu), float(config.alpha), float(config.eta), float(config.beta)
     )
     wj, t = _pair(state), state.t
     th = t + 0.5 * h
@@ -280,7 +277,7 @@ def advective_dt_bound(state: MHDState) -> float:
     grid, the bound `step` checks; inf when the state is at rest."""
     g, wj = state.grid, _pair(state)
     ws = _workspace(g.n)
-    _velocities(g.n, wj, ws, np.empty_like(wj[0]))
+    _velocities(g, wj, ws, np.empty_like(wj[0]))
     return _dt_bound(g, ws)
 
 
@@ -334,8 +331,8 @@ def make_initial(
     """
     if kind not in INIT_KINDS:
         raise ValueError(f"kind must be one of {INIT_KINDS}, got {kind!r}")
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not amplitude >= 0:  # NaN fails too
+        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
     n = grid.n
     if kind == "orszag-tang":
         wc = np.zeros((n, n), dtype=np.complex128)
@@ -348,7 +345,7 @@ def make_initial(
         w = SpectralField(grid, wc)
         j = SpectralField(grid, jc)
     else:
-        if band > grid.dealias_cutoff:
+        if not band <= grid.dealias_cutoff:
             raise ValueError(f"band {band} exceeds the dealias cutoff {grid.dealias_cutoff}")
         rng = np.random.default_rng(seed)
         w = sp.random_band_field(grid, rng, band, amplitude)

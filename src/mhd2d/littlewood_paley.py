@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -44,7 +44,8 @@ def _bump_profile(r: np.ndarray) -> np.ndarray:
 
 
 class DyadicPartition:
-    """Multipliers Phi_j, j = 0 .. j_max, on the annuli A_j for one grid."""
+    """Multipliers Phi_j, j = 0 .. j_max, on the annuli A_j for one grid.
+    Each call builds them afresh; `build_partition` is the cached one."""
 
     def __init__(self, grid: TorusGrid):
         self.j_max = math.ceil(math.log2(grid.n / 2))
@@ -61,16 +62,11 @@ class DyadicPartition:
         return range(self.j_max + 1)
 
 
+@cache
 def build_partition(grid: TorusGrid) -> DyadicPartition:
-    """The cached partition of a grid; every function below uses it."""
-    return _partition(grid.n)
-
-
-@lru_cache(maxsize=16)
-def _partition(n: int) -> DyadicPartition:
-    # Keyed by n, and the partition holds no grid, so that the cache keeps
-    # no grid alive.
-    return DyadicPartition(TorusGrid(n))
+    """The partition of a grid, built once per grid like the grid itself;
+    every function below uses it."""
+    return DyadicPartition(grid)
 
 
 def nonzero_blocks(f: SpectralField) -> list[SpectralField | None]:
@@ -124,6 +120,8 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Exact multiplier form: |xi|^s, or (1 + |xi|^2)^(s/2) with the mean."""
+    if not math.isfinite(s):
+        raise ValueError(f"regularity s must be finite, got {s}")
     g = f.grid
     if homogeneous:
         if s < 0 and not f.is_zero_mean():
@@ -242,7 +240,7 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     n_split = ceil(log2(2 + ||u||_{H^s}) / (s - 2)) clamped to the
     resolved range.
     """
-    if s <= 2.0:
+    if not s > 2.0:  # NaN fails too
         raise ValueError(f"regularity s must exceed 2, got {s}")
     partition = build_partition(w.grid)
     u1, u2 = sp.biot_savart(w)
@@ -295,8 +293,8 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     active spectrum inside 2^(j-1) <= |xi| <= 2^(j+1) (two-sided bounds
     apply), "ball" inside |xi| <= 2^j (upper bound only).
     """
-    if k < 0:
-        raise ValueError("derivative order k must be nonnegative")
+    if not k >= 0:  # NaN fails too
+        raise ValueError(f"derivative order k must be nonnegative, got {k}")
     if support not in ("annulus", "ball"):
         raise ValueError(f"support must be 'annulus' or 'ball', got {support!r}")
     g = f.grid
@@ -305,10 +303,10 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
         raise ValueError("zero input")
     radius = g.kmag[active]
     if support == "annulus":
-        if radius.min() < 2.0 ** (j - 1) or radius.max() > 2.0 ** (j + 1):
+        if not 2.0 ** (j - 1) <= radius.min() <= radius.max() <= 2.0 ** (j + 1):
             raise ValueError(f"spectrum not supported in the dyadic annulus at scale 2^{j}")
     else:
-        if radius.max() > 2.0**j:
+        if not radius.max() <= 2.0**j:
             raise ValueError(f"spectrum not supported in the ball of radius 2^{j}")
     if k == 0:
         return BernsteinRatios(l2=1.0, linf=1.0)

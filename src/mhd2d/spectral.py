@@ -57,6 +57,9 @@ Where each invariant is checked:
   `claim_dealiased` argument raises DealiasError if it does not hold.
 * Zero mean and dealiasing of a simulation state: `MHDState`
   (module dynamics), for every state the solver makes or reads.
+* Zero mean of a curl field: `is_zero_mean`'s rule, in `biot_savart`
+  and `_gradient_coefs`, so no velocity or velocity gradient is formed
+  from a w with a mean.
 * Hermitian symmetry: built exactly by `_hermitian_extend` on every
   forward transform, and checked on outside input by `read_checkpoint`.
 * Active spectrum: `active_modes` holds the one threshold below which a
@@ -77,7 +80,6 @@ buffers, `vorticity_gradient_rows` overwrites them with |grad u|^2, and
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -126,13 +128,14 @@ def check_grid_size(n: int) -> int:
 class TorusGrid:
     """Collocation grid and integer wavenumber lattice on [0, 2*pi)^2.
 
-    n must be a power of two, n >= 8.  There is one live grid per n:
-    while any reference to a grid is held, TorusGrid(n) returns that same
-    grid instead of building the lattice again, so grids with equal n are
-    identical and identity is equality.
+    n must be a power of two, n >= 8.  One grid per n for the life of the
+    process: TorusGrid(n) builds the lattice once and returns that grid
+    ever after, so identity is equality, and every cache of lattice data
+    keys on the grid itself.  A grid takes 57 n^2 bytes (3.6 MiB at
+    n = 256).
     """
 
-    _live = weakref.WeakValueDictionary()
+    _live = {}
 
     def __new__(cls, n: int):
         n = check_grid_size(n)
@@ -162,7 +165,7 @@ class TorusGrid:
         return grid
 
     def __reduce__(self):
-        # A copy or an unpickled grid is the live grid of its n.
+        # A copy or an unpickled grid is the one grid of its n.
         return TorusGrid, (self.n,)
 
     def coordinates(self):
@@ -251,8 +254,13 @@ class SpectralField:
     def is_zero_mean(self) -> bool:
         """True if the xi=0 coefficient is at most 1e-12 of the largest
         coefficient (exactly zero for a zero field)."""
-        top = np.max(np.abs(self.coef))
-        return abs(self.coef[0, 0]) <= 1e-12 * top
+        return _mean_is_zero(self.coef)
+
+
+def _mean_is_zero(coef: np.ndarray) -> bool:
+    """`is_zero_mean`'s rule on a spectrum, or on leading columns of its
+    half spectrum, which hold its largest coefficient too."""
+    return abs(coef[0, 0]) <= 1e-12 * np.max(np.abs(coef))
 
 
 def _negated_index(n: int) -> np.ndarray:
@@ -312,30 +320,24 @@ def inverse(F: SpectralField) -> RealField:
     return RealField(F.grid, oversampled_values(F, 1))
 
 
+@functools.lru_cache(maxsize=16)
 def symbol_power(grid: TorusGrid, gamma: float) -> np.ndarray:
     """|xi|^(2*gamma) on the lattice; the xi=0 entry is 0 unless gamma == 0.
 
-    Cached per (n, gamma); the returned array is shared and read-only.
+    Cached per (grid, gamma); the returned array is shared and read-only.
     """
-    return _symbol_power(grid.n, float(gamma))
-
-
-@functools.lru_cache(maxsize=16)
-def _symbol_power(n: int, gamma: float) -> np.ndarray:
-    # Keyed by n, not by the grid, so that the cache keeps no grid alive.
     if gamma == 0.0:
-        return _frozen(np.ones((n, n)))
-    ksq = TorusGrid(n).ksq
-    sym = np.zeros((n, n))
-    nz = ksq > 0
-    sym[nz] = ksq[nz] ** gamma
+        return _frozen(np.ones((grid.n, grid.n)))
+    sym = np.zeros((grid.n, grid.n))
+    nz = grid.ksq > 0
+    sym[nz] = grid.ksq[nz] ** gamma
     return _frozen(sym)
 
 
 def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
     """Fourier multiplier |xi|^(2*gamma); xi=0 is annihilated for gamma > 0
     and left unchanged for gamma == 0."""
-    if gamma < -1.0:
+    if not gamma >= -1.0:  # NaN fails too
         raise ValueError(f"exponent gamma must be >= -1, got {gamma}")
     if gamma < 0.0 and not F.is_zero_mean():
         raise MeanModeError("negative-order multiplier needs a zero-mean field")
@@ -371,7 +373,10 @@ def biot_savart(w: SpectralField):
 def _gradient_coefs(g: TorusGrid, coef: np.ndarray):
     """Coefficients of d1u1, d2u1 and d1u2 for the divergence-free u with
     curl u = w, from the leading columns `coef` of w's spectrum (all n of
-    them, or fewer); d2u2 = -d1u1."""
+    them, or fewer); d2u2 = -d1u1.  w must have zero mean, as for
+    `biot_savart`: no velocity has a curl with a mean."""
+    if not _mean_is_zero(coef):
+        raise MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
     cols = slice(0, coef.shape[1])
     k1, k2 = g.k1[:, cols], g.k2[:, cols]
     q = g.inv_ksq[:, cols] * coef
@@ -588,9 +593,9 @@ def random_band_field(
 ) -> SpectralField:
     """Seeded random real field with spectrum confined to 1 <= |xi| <= band,
     normalized so ||f||_{L^2} = amplitude >= 0 (zero field for amplitude 0)."""
-    if amplitude < 0.0:
+    if not amplitude >= 0.0:  # NaN fails too
         raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
-    if band < 1 or band > grid.n // 2 - 1:
+    if not 1 <= band <= grid.n // 2 - 1:
         raise ValueError(f"band must lie in [1, n/2-1], got {band}")
     noise = rng.standard_normal((grid.n, grid.n))
     keep = (grid.kmag <= band) & (grid.ksq > 0)

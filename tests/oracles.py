@@ -1,10 +1,12 @@
 """Test oracles: the momentum/induction and flux forms of the tendency, the
 dilation `rescale`, and the `curl`, `divergence` and `dealias` they need.
 The solver evolves only the vorticity-current form; no package module
-imports this file."""
+imports this file.  `classify_growth` and `hgamma_b_norm` wait here for
+the run summary of ROADMAP D4, their first caller."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,3 +177,26 @@ def rescale(state: MHDState, lam: int, gamma: float, tail_tol: float = 0.0) -> M
         return SpectralField(g, out)
 
     return MHDState(t=state.t / factor, w=dilate(state.w), j=dilate(state.j))
+
+
+def classify_growth(times, values) -> str:
+    """Crude bounded/growing call: 'growing' when the max over the second
+    half of the run exceeds twice the max over the first half."""
+    times = np.asarray(times)
+    values = np.asarray(values)
+    mid = 0.5 * (times[0] + times[-1])
+    first = values[times <= mid]
+    last = values[times >= mid]
+    if first.size == 0 or last.size == 0:
+        return "bounded"
+    top = first.max()
+    if top == 0.0:
+        return "growing" if last.max() > 0 else "bounded"
+    return "growing" if last.max() > 2.0 * top else "bounded"
+
+
+def hgamma_b_norm(state: MHDState, gamma: float) -> float:
+    """||Lambda^gamma b|| from the current j = curl b: on the lattice it is
+    ||Lambda^(gamma-1) j||, the weight |xi|^(2 gamma - 2)."""
+    j = state.j
+    return math.sqrt(sp.weighted_l2_norm_sq(j, sp.symbol_power(j.grid, gamma - 1.0)))

@@ -12,6 +12,8 @@ from mhd2d import littlewood_paley as lp
 from mhd2d import regimes
 from mhd2d import spectral as sp
 
+import oracles
+
 
 def modes(g, *terms):
     """Real field sum of a * cos(k1 x1 + k2 x2) over terms (a, k1, k2),
@@ -120,6 +122,9 @@ class TestZeroMeanPreconditions:
                 lambda m, z: lp.product_estimate_ratio(m, z, 0.5, 0.5), id="product_estimate_ratio"
             ),
             pytest.param(lambda m, z: lp.log_inequality_ratio(m, 3.0), id="log_inequality_ratio"),
+            pytest.param(lambda m, z: dg.cz_ratio(m, 2), id="cz_ratio-p2"),
+            pytest.param(lambda m, z: dg.cz_ratio(m, 4), id="cz_ratio-p4"),
+            pytest.param(lambda m, z: sp.vorticity_gradient_sups(m), id="vorticity_gradient_sups"),
         ],
     )
     def test_a_nonzero_mean_mode_raises(self, call):
@@ -130,18 +135,60 @@ class TestZeroMeanPreconditions:
             call(with_mean, zero_mean)
 
 
+NAN = float("nan")
+# Each guard that takes a float, with its own message.  The calls take the
+# n = 32 grid g, a band-5 field f and its dyadic block b at j = 2.
+NAN_GUARDS = {
+    "random_band_field-band": (
+        "band must lie in", lambda g, f, b: sp.random_band_field(g, np.random.default_rng(0), NAN)
+    ),
+    "random_band_field-amplitude": (
+        "amplitude", lambda g, f, b: sp.random_band_field(g, np.random.default_rng(0), 3, NAN)
+    ),
+    "make_initial-band": (
+        "exceeds the dealias cutoff", lambda g, f, b: dyn.make_initial(g, "random-band", band=NAN)
+    ),
+    "make_initial-amplitude": (
+        "amplitude", lambda g, f, b: dyn.make_initial(g, "orszag-tang", amplitude=NAN)
+    ),
+    "fractional_laplacian": ("exponent gamma", lambda g, f, b: sp.fractional_laplacian(f, NAN)),
+    "gn_ratio": ("interpolation exponent", lambda g, f, b: dg.gn_ratio(f, NAN)),
+    "commutator_ratio": (
+        "order s", lambda g, f, b: dg.commutator_ratio(f, f, NAN, (4, 4, 4, 4))
+    ),
+    "sobolev_norm": ("regularity s must be finite", lambda g, f, b: lp.sobolev_norm(f, NAN)),
+    "log_inequality_ratio": (
+        "regularity s must exceed 2", lambda g, f, b: lp.log_inequality_ratio(f, NAN)
+    ),
+    "bernstein_ratio-j": ("dyadic annulus", lambda g, f, b: lp.bernstein_ratio(b, NAN, 1)),
+    "bernstein_ratio-k": ("derivative order", lambda g, f, b: lp.bernstein_ratio(b, 2, NAN)),
+    "bernstein_ratio-ball": ("ball", lambda g, f, b: lp.bernstein_ratio(b, NAN, 1, "ball")),
+}
+
+
+@pytest.mark.parametrize("guard", NAN_GUARDS)
+def test_nan_fails_every_guard(guard):
+    # NonFiniteFieldError is a ValueError too, so `match` tells the guard
+    # from a NaN that got through it.
+    message, call = NAN_GUARDS[guard]
+    g = sp.TorusGrid(32)
+    f = sp.random_band_field(g, np.random.default_rng(1), 5)
+    with pytest.raises(ValueError, match=message):
+        call(g, f, lp.dyadic_block(f, 2))
+
+
 class TestMonitoredNorms:
     def test_hgamma_b_norm_of_a_single_mode(self, grid64):
         # j = cos(3 x1 + 4 x2): ||Lambda^gamma b|| = 5^(gamma - 1) ||j||_2.
         state = dyn.MHDState(0.0, sp.SpectralField.zeros(grid64), modes(grid64, (1.0, 3, 4)))
         expect = 5.0 ** (1.7 - 1.0) * math.pi * math.sqrt(2.0)
-        assert dg.hgamma_b_norm(state, 1.7) == pytest.approx(expect, rel=1e-12)
+        assert oracles.hgamma_b_norm(state, 1.7) == pytest.approx(expect, rel=1e-12)
 
     def test_classify_growth(self):
         t = np.arange(11.0)
-        assert dg.classify_growth(t, np.ones(11)) == "bounded"
-        assert dg.classify_growth(t, np.exp(-t)) == "bounded"
-        assert dg.classify_growth(t, 2.0**t) == "growing"
+        assert oracles.classify_growth(t, np.ones(11)) == "bounded"
+        assert oracles.classify_growth(t, np.exp(-t)) == "bounded"
+        assert oracles.classify_growth(t, 2.0**t) == "growing"
 
     def test_record_lp_norms_match_lp_norm(self):
         # At amplitude 1e-170, w^2 underflows on the fine grid, so linf_w

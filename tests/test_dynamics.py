@@ -256,8 +256,8 @@ class TestLerayProjection:
 
 class TestIntegratingFactors:
     def test_repeat_call_returns_the_same_two_read_only_arrays(self):
-        first = dyn._integrating_factors(32, 1e-3, 0.05, 0.3, 0.05, 1.4)
-        again = dyn._integrating_factors(32, 1e-3, 0.05, 0.3, 0.05, 1.4)
+        first = dyn._integrating_factors(sp.TorusGrid(32), 1e-3, 0.05, 0.3, 0.05, 1.4)
+        again = dyn._integrating_factors(sp.TorusGrid(32), 1e-3, 0.05, 0.3, 0.05, 1.4)
         assert len(first) == 2
         for a, b in zip(first, again):
             assert b is a
@@ -331,7 +331,7 @@ class TestStep:
 
         monkeypatch.setattr(dyn, "_nonlinear_half", spy)
         out = dyn.step(state, cfg)
-        eh, ef = dyn._integrating_factors(32, h, cfg.nu, cfg.alpha, cfg.eta, cfg.beta)
+        eh, ef = dyn._integrating_factors(state.grid, h, cfg.nu, cfg.alpha, cfg.eta, cfg.beta)
         (wj, k1), (x2, k2), (x3, k3), (x4, k4) = seen
         assert np.array_equal(wj, dyn._pair(state))
         assert np.array_equal(x2, eh * (wj + 0.5 * h * k1))
@@ -341,15 +341,15 @@ class TestStep:
         assert np.array_equal(dyn._pair(out), new)
 
     def test_the_workspace_does_not_outlive_its_step(self):
-        # The per-n multiplier caches outlive every step by design, so they
+        # The per-grid multiplier caches outlive every step by design, so they
         # are filled first.  A step then keeps only its new state, and its
         # scratch (6 n x n real arrays: u1, u2, b1, b2, a product and a
         # temporary; and a half spectrum) stays bounded.
         n = 256
         cfg = ideal_config(n=n, eta=0.05, beta=1.75)
         state = random_state(n=n, band=12, seed=4)
-        dyn._half_multipliers(n)
-        dyn._integrating_factors(n, cfg.dt, cfg.nu, cfg.alpha, cfg.eta, cfg.beta)
+        dyn._half_multipliers(state.grid)
+        dyn._integrating_factors(state.grid, cfg.dt, cfg.nu, cfg.alpha, cfg.eta, cfg.beta)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -2,11 +2,9 @@
 
 import ast
 import dataclasses
-import gc
 import pickle
 import re
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +22,21 @@ import oracles
 @pytest.fixture(scope="module")
 def grid64():
     return sp.TorusGrid(64)
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """(n, built) for every TorusGrid(n) call while the test runs; built
+    is True when the call had to build the lattice."""
+    calls = []
+    new = sp.TorusGrid.__new__
+
+    def spy(cls, n):
+        calls.append((n, n not in cls._live))
+        return new(cls, n)
+
+    monkeypatch.setattr(sp.TorusGrid, "__new__", staticmethod(spy))
+    return calls
 
 
 class TestTorusGrid:
@@ -49,22 +62,22 @@ class TestTorusGrid:
         assert sp.TorusGrid(64) is held
         assert pickle.loads(pickle.dumps(held)) is held
 
-    def test_caches_keep_no_grid_alive(self):
-        gc.collect()  # garbage of earlier tests may still hold a grid
-        g = sp.TorusGrid(16)
-        sp.symbol_power(g, 0.35)
-        lp.build_partition(g)
-        ref = weakref.ref(g)
-        del g
-        assert ref() is None
-
-    def test_config_builds_no_grid(self):
-        gc.collect()
-        assert 256 not in sp.TorusGrid._live
+    def test_config_builds_no_grid(self, grid_calls):
         dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=256)
-        assert 256 not in sp.TorusGrid._live
         with pytest.raises(ValueError, match="power of two"):
             dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=96)
+        assert grid_calls == []
+
+    def test_each_grid_is_built_once(self, grid_calls):
+        # Two diagnostics in a row sample on the same 2n grid; the second
+        # and every later one must find it built.
+        g = sp.TorusGrid(16)
+        f = sp.random_band_field(g, np.random.default_rng(3), 3)
+        h = sp.random_band_field(g, np.random.default_rng(4), 3)
+        dg.positivity_check(f, 2, 0.5)
+        lp.bony_decompose(f, h)
+        lp.bony_decompose(f, h)
+        assert sum(built for n, built in grid_calls if n == 32) <= 1
 
     def test_grid_mismatch_rejected(self, grid64):
         other = sp.TorusGrid(32)
@@ -624,12 +637,10 @@ def test_package_holds_only_what_is_called():
     }
     bench = (Path(__file__).parents[1] / "perfbench").glob("*.py")
     used |= set(re.findall(r"\w+", " ".join(p.read_text() for p in bench)))
-    # Called by nothing yet: the run summary of ROADMAP D4 needs them.
-    allowed = {"classify_growth", "hgamma_b_norm"}
     uncalled = [
         node.name for tree in trees for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        and node.name not in used | allowed
+        and node.name not in used
     ]
     assert uncalled == []
 

@@ -1,9 +1,13 @@
 """Monitored norms, energy budgets, and inequality-ratio diagnostics.
 
 L^2-type quantities are evaluated spectrally (Parseval); L^p for p != 2
-and sup norms are evaluated on the physical grid refined by
-`spectral.OVERSAMPLE`, because the collocation max of a band-limited field
-underestimates its true sup.
+and sup norms are evaluated on a physical grid refined by a factor up to
+`spectral.OVERSAMPLE`, chosen from the field's band (12 samples per
+shortest wavelength, never coarser than the collocation grid), because
+the collocation max of a band-limited field underestimates its true sup.
+A record of a state whose band exceeds n/6 samples on the OVERSAMPLE
+grid; the commutator, positivity and product diagnostics take the
+factor their product's band needs.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ def energy_budget_residual(records, config) -> float:
 def gn_ratio(f: SpectralField, beta: float) -> float:
     """||f||_inf / (||f||_2^((beta-1)/beta) ||Lambda^beta f||_2^(1/beta)),
     the sup-norm interpolation ratio; requires beta > 1, zero-mean f."""
-    if not beta > 1.0:  # NaN fails too
+    sp.check_finite("interpolation exponent beta", beta)
+    if not beta > 1.0:
         raise ValueError(f"interpolation exponent must exceed 1, got beta={beta}")
     l2 = sp.l2_norm(f)
     if l2 == 0.0:
@@ -157,7 +162,8 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     defining p by Hoelder; implemented exponents come from {2, 4, inf}.
     Returns 0 when the commutator vanishes identically.
     """
-    if not s > 0:  # NaN fails too
+    sp.check_finite("order s", s)
+    if not s > 0:
         raise ValueError(f"order s must be positive, got {s}")
     if s < 1.0 and not g.is_zero_mean():
         raise sp.MeanModeError("Lambda^(s-1) with s < 1 needs zero-mean g")

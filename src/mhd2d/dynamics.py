@@ -84,8 +84,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "nu", "eta", "dt", "t_end"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            sp.check_finite(name, getattr(self, name))
         if self.nu < 0 or self.eta < 0:
             raise ValueError("coefficients nu, eta must be nonnegative")
         if self.alpha < 0 or self.beta < 0:
@@ -111,8 +110,7 @@ class MHDState:
     j: SpectralField
 
     def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ValueError(f"time must be finite, got {self.t}")
+        sp.check_finite("time", self.t)
         sp._check_same_grid(self.w, self.j)
         for name, f in (("w", self.w), ("j", self.j)):
             if f.coef[0, 0] != 0.0:
@@ -331,7 +329,8 @@ def make_initial(
     """
     if kind not in INIT_KINDS:
         raise ValueError(f"kind must be one of {INIT_KINDS}, got {kind!r}")
-    if not amplitude >= 0:  # NaN fails too
+    sp.check_finite("amplitude", amplitude)
+    if not amplitude >= 0:
         raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
     n = grid.n
     if kind == "orszag-tang":
@@ -345,6 +344,7 @@ def make_initial(
         w = SpectralField(grid, wc)
         j = SpectralField(grid, jc)
     else:
+        sp.check_finite("band", band)
         if not band <= grid.dealias_cutoff:
             raise ValueError(f"band {band} exceeds the dealias cutoff {grid.dealias_cutoff}")
         rng = np.random.default_rng(seed)

@@ -98,8 +98,7 @@ class BesovSpec:
     q: float
 
     def __post_init__(self):
-        if not math.isfinite(self.s):
-            raise ValueError("regularity index must be finite")
+        sp.check_finite("regularity index s", self.s)
         for name, v in (("p", self.p), ("q", self.q)):
             if not (v >= 1.0):
                 raise ValueError(f"{name} must lie in [1, inf], got {v}")
@@ -120,14 +119,15 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Exact multiplier form: |xi|^s, or (1 + |xi|^2)^(s/2) with the mean."""
-    if not math.isfinite(s):
-        raise ValueError(f"regularity s must be finite, got {s}")
+    sp.check_finite("regularity s", s)
     g = f.grid
     if homogeneous:
         if s < 0 and not f.is_zero_mean():
             raise sp.MeanModeError("negative-order homogeneous norm needs zero mean")
         weight = np.where(g.ksq > 0, sp.symbol_power(g, s), 0.0)
     else:
+        if s > 0:
+            sp.check_weight(f"regularity s = {s}", 1.0 + float(g.ksq.max()), s)
         weight = (1.0 + g.ksq) ** s
     return math.sqrt(sp.weighted_l2_norm_sq(f, weight))
 
@@ -240,7 +240,8 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     n_split = ceil(log2(2 + ||u||_{H^s}) / (s - 2)) clamped to the
     resolved range.
     """
-    if not s > 2.0:  # NaN fails too
+    sp.check_finite("regularity s", s)
+    if not s > 2.0:
         raise ValueError(f"regularity s must exceed 2, got {s}")
     partition = build_partition(w.grid)
     u1, u2 = sp.biot_savart(w)
@@ -293,8 +294,11 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     active spectrum inside 2^(j-1) <= |xi| <= 2^(j+1) (two-sided bounds
     apply), "ball" inside |xi| <= 2^j (upper bound only).
     """
-    if not k >= 0:  # NaN fails too
+    sp.check_finite("scale j", j)
+    sp.check_finite("derivative order k", k)
+    if not k >= 0:
         raise ValueError(f"derivative order k must be nonnegative, got {k}")
+    sp.check_weight(f"scale j = {j}", 2.0, j + 1)  # the annulus's outer radius
     if support not in ("annulus", "ball"):
         raise ValueError(f"support must be 'annulus' or 'ball', got {support!r}")
     g = f.grid
@@ -311,6 +315,8 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     if k == 0:
         return BernsteinRatios(l2=1.0, linf=1.0)
 
+    # max(2^j, n/2)^k bounds 2^(jk) and every derivative weight below.
+    sp.check_weight(f"order k = {k} at scale j = {j}", max(2.0**j, g.n / 2), k)
     scale = 2.0 ** (j * k)
     sup2 = 0.0
     supinf = 0.0

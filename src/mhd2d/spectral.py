@@ -31,8 +31,10 @@ Conventions used throughout the package:
   needs the inverse transform of that grid times factor^2.
   `_fine_rows` writes factor^2 * coef while it zero-pads, so no pass
   sweeps the fine grid again.  For a power-of-two factor (every one the
-  package uses) so is factor^2, and scaling the input gives the bits of
-  scaling the output (barring overflow and underflow).
+  package uses, 1 included: the collocation grid, where `inverse` and
+  the norms of a field of low band sample) so is factor^2, and scaling
+  the input gives the bits of scaling the output (barring overflow and
+  underflow).
 * Zero-tailed half spectrum.  irfft pads a short input with zeros, with
   the same bits, but runs faster on a full-width (rows, m//2 + 1) input
   whose tail is zero already (by 7 to 25% on 4x-grid row blocks at
@@ -44,11 +46,21 @@ Conventions used throughout the package:
   an m-row grid at a time, from a zero-tailed half spectrum per field.
   `oversampled_values` (so `inverse`, and the products of fields in the
   commutator, paraproduct, positivity and product diagnostics) writes
-  the blocks into one whole array.  A sup or L^p (p != 2) norm on the
-  OVERSAMPLE grid needs only a max or a sum: `oversampled_rows` yields
-  each block in scratch that the next block overwrites, and `lp_norm`
-  and `vorticity_gradient_rows` (the one source of w and |grad u|^2 on
-  that grid) reduce each block as it comes.
+  the blocks into one whole array at the factor its caller gives.  A sup
+  or L^p (p != 2) norm needs only a max or a sum: `oversampled_rows`
+  yields each block in scratch that the next block overwrites, and
+  `lp_norm` and `vorticity_gradient_rows` (the one source of w and
+  |grad u|^2 on a grid) reduce each block as it comes.
+* The grid follows the band.  A sup or L^p (p != 2) norm samples a field
+  of band B (the largest |xi_1| or |xi_2| of a nonzero coefficient) on
+  the grid of the smallest power of two f >= 1 with f n >= 3 OVERSAMPLE B,
+  at most OVERSAMPLE: 12 nodes per shortest wavelength, as the OVERSAMPLE
+  grid gives a dealiased field of full band.  That grid lies between the
+  collocation and the OVERSAMPLE grid, and so does its sup.  For
+  B <= n/3, Ehlich-Zeller in each variable puts the true sup of w (degree
+  B) or |grad u|^2 (degree 2B) within sec^2(pi d / m) <= 4/3 of the
+  maximum on m = f n nodes, and the grid means of |f|^4 and |f|^8 are
+  exact integrals.
 
 Where each invariant is checked:
 
@@ -80,14 +92,16 @@ buffers, `vorticity_gradient_rows` overwrites them with |grad u|^2, and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Grid refinement for sup and L^p (p != 2) norms: `lp_norm` and
-# `vorticity_gradient_rows` evaluate on an OVERSAMPLE*n grid.
+# The largest grid refinement for sup and L^p (p != 2) norms: `lp_norm`
+# and `vorticity_gradient_rows` sample a field on a grid of at most
+# OVERSAMPLE*n points per axis, chosen from its band (module docstring).
 OVERSAMPLE = 4
 # Fine-grid rows per block of `oversampled_rows`.
 ROW_BLOCK = 32
@@ -115,6 +129,25 @@ def _frozen(arr):
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def check_finite(name: str, value) -> None:
+    """ValueError naming `name` unless the scalar `value` is finite: NaN
+    and +-inf fail."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_weight(name: str, base: float, exponent: float) -> None:
+    """ValueError naming `name` unless base**exponent, the largest weight
+    of a power multiplier, is a finite float: a huge exponent fails here
+    instead of as NaN once the weight meets a zero coefficient."""
+    try:
+        top = math.pow(base, exponent)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(f"{name}: the weight {base:g}^{exponent:g} is not a finite float")
 
 
 def check_grid_size(n: int) -> int:
@@ -325,9 +358,12 @@ def symbol_power(grid: TorusGrid, gamma: float) -> np.ndarray:
     """|xi|^(2*gamma) on the lattice; the xi=0 entry is 0 unless gamma == 0.
 
     Cached per (grid, gamma); the returned array is shared and read-only.
+    A gamma > 0 whose largest entry overflows raises ValueError.
     """
     if gamma == 0.0:
         return _frozen(np.ones((grid.n, grid.n)))
+    if gamma > 0.0:
+        check_weight(f"exponent gamma = {gamma}", float(grid.ksq.max()), gamma)
     sym = np.zeros((grid.n, grid.n))
     nz = grid.ksq > 0
     sym[nz] = grid.ksq[nz] ** gamma
@@ -337,7 +373,8 @@ def symbol_power(grid: TorusGrid, gamma: float) -> np.ndarray:
 def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
     """Fourier multiplier |xi|^(2*gamma); xi=0 is annihilated for gamma > 0
     and left unchanged for gamma == 0."""
-    if not gamma >= -1.0:  # NaN fails too
+    check_finite("exponent gamma", gamma)
+    if not gamma >= -1.0:
         raise ValueError(f"exponent gamma must be >= -1, got {gamma}")
     if gamma < 0.0 and not F.is_zero_mean():
         raise MeanModeError("negative-order multiplier needs a zero-mean field")
@@ -430,41 +467,54 @@ def active_band(F: SpectralField) -> int:
     return int(max(k[active.any(axis=1)].max(initial=0), k[active.any(axis=0)].max(initial=0)))
 
 
-def _occupied_columns(F: SpectralField, factor: int) -> np.ndarray:
+def _occupied_columns(F: SpectralField, factor: int | None = None):
     """F's leading half-spectrum columns up to the last nonzero one, all n
-    rows (a view).  For factor > 1 the spectrum must be Nyquist-free (max
-    component <= n/2 - 1), which every dealiased field satisfies: only a
-    field that is not pays for the `active_band` scan."""
+    rows (a view), and the factor of the grid to sample F on: `factor`, or
+    when it is None the band's factor (module docstring).
+
+    A finer grid needs a Nyquist-free spectrum (max component <= n/2 - 1).
+    Only a field whose band reaches n/2, never a dealiased one, pays for
+    the `active_band` scan, which lets round-off on the Nyquist lines
+    pass."""
     n = F.grid.n
-    if factor > 1 and not F.dealiased and active_band(F) > n // 2 - 1:
-        raise ValueError("field carries Nyquist content; cannot oversample exactly")
     occupied = np.flatnonzero(F.coef[:, : n // 2 + 1].any(axis=0))
     width = int(occupied[-1]) + 1 if occupied.size else 1
-    return F.coef[:, :width]
+    cols = F.coef[:, :width]
+    rows = np.abs(F.grid.k1[:, 0])[cols.any(axis=1)]  # |xi_1| of each occupied row
+    band = max(width - 1, int(rows.max(initial=0)))
+    if factor is None:
+        factor = 1
+        while factor < OVERSAMPLE and factor * n < 3 * OVERSAMPLE * band:
+            factor *= 2
+    if factor > 1 and band > n // 2 - 1 and active_band(F) > n // 2 - 1:
+        raise ValueError("field carries Nyquist content; cannot oversample exactly")
+    return cols, factor
 
 
 def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a factor-times finer grid;
     factor 1 gives the collocation samples of `inverse`.  The whole
-    (factor*n)^2 array: sup and L^p reductions on the OVERSAMPLE grid go
-    through `oversampled_rows` instead."""
+    (factor*n)^2 array: sup and L^p reductions go through
+    `oversampled_rows` instead."""
     m = factor * F.grid.n
     values = np.empty((m, m))
-    for _ in _fine_rows([_occupied_columns(F, factor)], factor, out=[values]):
+    for _ in _fine_rows([_occupied_columns(F, factor)[0]], factor, out=[values]):
         pass
     return values
 
 
 def oversampled_rows(fields):
-    """For each block of ROW_BLOCK consecutive rows of the OVERSAMPLE grid,
-    yield a list with the values of each field on those rows: the rows of
-    `oversampled_values(F, OVERSAMPLE)`, bit for bit.
+    """For each block of consecutive rows of the grid that the widest
+    band among the fields needs (module docstring), yield a list with the
+    values of each field on those rows: the rows of
+    `oversampled_values(F, factor)` at that shared factor, bit for bit.
 
     The yielded arrays are scratch: one buffer per field, overwritten by
     the next block, which the caller may also overwrite.
     """
     _check_same_grid(*fields)
-    yield from _fine_rows([_occupied_columns(F, OVERSAMPLE) for F in fields], OVERSAMPLE)
+    leading, factors = zip(*(_occupied_columns(F) for F in fields))
+    yield from _fine_rows(leading, max(factors))
 
 
 def _fine_rows(leading, factor, out=None):
@@ -542,8 +592,9 @@ def lp_of_samples(blocks, p: float) -> float:
 
 
 def lp_norm(F: SpectralField, p: float) -> float:
-    """L^p norm over [0, 2pi)^2; p=2 by Parseval, otherwise the field is
-    evaluated on the OVERSAMPLE grid (grid max for p = inf); p in [1, inf]."""
+    """L^p norm over [0, 2pi)^2; p=2 by Parseval, otherwise from the field's
+    samples on the grid its band needs (module docstring; grid max for
+    p = inf), exact for p = 4 and 8; p in [1, inf]."""
     if not 1.0 <= p <= np.inf:  # NaN fails too
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     if p == 2:
@@ -552,22 +603,24 @@ def lp_norm(F: SpectralField, p: float) -> float:
 
 
 def vorticity_gradient_rows(w: SpectralField):
-    """Row blocks (w, |grad u|^2) on the OVERSAMPLE grid for the
-    divergence-free u with curl u = w, scratch as in `oversampled_rows`.
+    """Row blocks (w, |grad u|^2) for the divergence-free u with curl u = w,
+    on the grid that w's band needs (module docstring), scratch as in
+    `oversampled_rows`.
 
     Three transforms, of w, d1u1 and the strain sigma = d1u2 + d2u1: in 2D
     d2u2 = -d1u1 and w = d1u2 - d2u1, so
     |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2.  The w block is yielded
     unsquared, so its max stays exact where w^2 would underflow.  The
-    gradient multipliers act on w's occupied columns only, and w's
-    Nyquist check stands for the derived fields."""
-    cols = _occupied_columns(w, OVERSAMPLE)
+    gradient multipliers act on w's occupied columns only, and w's band
+    and Nyquist check stand for the derived fields."""
+    cols, factor = _occupied_columns(w)
     c11, c21, c12 = _gradient_coefs(w.grid, cols)
     c12 += c21
-    w_sq = np.empty((ROW_BLOCK, OVERSAMPLE * w.grid.n))
-    for v, d11, sigma in _fine_rows((cols, c11, c12), OVERSAMPLE):
+    w_sq = None  # the first block allocates it, the rest reuse it
+    for v, d11, sigma in _fine_rows((cols, c11, c12), factor):
         np.square(sigma, out=sigma)
-        sigma += np.square(v, out=w_sq)
+        w_sq = np.square(v, out=w_sq)
+        sigma += w_sq
         sigma *= 0.5
         np.square(d11, out=d11)
         d11 += d11
@@ -576,8 +629,8 @@ def vorticity_gradient_rows(w: SpectralField):
 
 
 def vorticity_gradient_sups(w: SpectralField):
-    """OVERSAMPLE-grid maxima (||w||_inf, ||grad u||_inf) for the u with
-    curl u = w, from one `vorticity_gradient_rows` pass."""
+    """Grid maxima (||w||_inf, ||grad u||_inf) for the u with curl u = w,
+    from one `vorticity_gradient_rows` pass on the grid w's band needs."""
     tops = [(np.abs(v, out=v).max(), sq.max()) for v, sq in vorticity_gradient_rows(w)]
     top_w, top_sq = np.max(tops, axis=0)
     return float(top_w), float(np.sqrt(top_sq))
@@ -593,7 +646,8 @@ def random_band_field(
 ) -> SpectralField:
     """Seeded random real field with spectrum confined to 1 <= |xi| <= band,
     normalized so ||f||_{L^2} = amplitude >= 0 (zero field for amplitude 0)."""
-    if not amplitude >= 0.0:  # NaN fails too
+    check_finite("amplitude", amplitude)
+    if not amplitude >= 0.0:
         raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
     if not 1 <= band <= grid.n // 2 - 1:
         raise ValueError(f"band must lie in [1, n/2-1], got {band}")

@@ -200,3 +200,19 @@ def hgamma_b_norm(state: MHDState, gamma: float) -> float:
     ||Lambda^(gamma-1) j||, the weight |xi|^(2 gamma - 2)."""
     j = state.j
     return math.sqrt(sp.weighted_l2_norm_sq(j, sp.symbol_power(j.grid, gamma - 1.0)))
+
+
+def band(F: SpectralField) -> int:
+    """Largest |xi_1| or |xi_2| of a nonzero coefficient of F (0 for the
+    zero field), from the whole lattice."""
+    comp = np.maximum(np.abs(F.grid.k1), np.abs(F.grid.k2))
+    return int(np.max(comp, where=F.coef != 0, initial=0))
+
+
+def sampling_factor(F: SpectralField) -> int:
+    """The factor of the grid a sup or L^p norm of F samples on: the
+    smallest power of two f >= 1 with f n >= 12 B, at most 4."""
+    factor = 1
+    while factor < 4 and factor * F.grid.n < 12 * band(F):
+        factor *= 2
+    return factor

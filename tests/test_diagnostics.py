@@ -135,46 +135,80 @@ class TestZeroMeanPreconditions:
             call(with_mean, zero_mean)
 
 
-NAN = float("nan")
-# Each guard that takes a float, with its own message.  The calls take the
-# n = 32 grid g, a band-5 field f and its dyadic block b at j = 2.
-NAN_GUARDS = {
+# Each guard that takes a float, with the message it gives a non-finite
+# value and the one it gives the finite 1e300 (None where 1e300 is a
+# valid amplitude).  The calls take the n = 32 grid g, a band-5 field f,
+# its dyadic block b at j = 2, and the value x.
+OVERFLOW = "is not a finite float"
+FLOAT_GUARDS = {
     "random_band_field-band": (
-        "band must lie in", lambda g, f, b: sp.random_band_field(g, np.random.default_rng(0), NAN)
+        "band must lie in", "band must lie in",
+        lambda g, f, b, x: sp.random_band_field(g, np.random.default_rng(0), x),
     ),
     "random_band_field-amplitude": (
-        "amplitude", lambda g, f, b: sp.random_band_field(g, np.random.default_rng(0), 3, NAN)
+        "amplitude must be finite", None,
+        lambda g, f, b, x: sp.random_band_field(g, np.random.default_rng(0), 3, x),
     ),
     "make_initial-band": (
-        "exceeds the dealias cutoff", lambda g, f, b: dyn.make_initial(g, "random-band", band=NAN)
+        "band must be finite", "exceeds the dealias cutoff",
+        lambda g, f, b, x: dyn.make_initial(g, "random-band", band=x),
     ),
     "make_initial-amplitude": (
-        "amplitude", lambda g, f, b: dyn.make_initial(g, "orszag-tang", amplitude=NAN)
+        "amplitude must be finite", None,
+        lambda g, f, b, x: dyn.make_initial(g, "orszag-tang", amplitude=x),
     ),
-    "fractional_laplacian": ("exponent gamma", lambda g, f, b: sp.fractional_laplacian(f, NAN)),
-    "gn_ratio": ("interpolation exponent", lambda g, f, b: dg.gn_ratio(f, NAN)),
+    "fractional_laplacian": (
+        "exponent gamma must be finite", f"exponent gamma = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: sp.fractional_laplacian(f, x),
+    ),
+    "gn_ratio": (
+        "interpolation exponent beta must be finite", f"exponent gamma = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: dg.gn_ratio(f, x),
+    ),
     "commutator_ratio": (
-        "order s", lambda g, f, b: dg.commutator_ratio(f, f, NAN, (4, 4, 4, 4))
+        "order s must be finite", f"exponent gamma = 5e\\+299: .* {OVERFLOW}",
+        lambda g, f, b, x: dg.commutator_ratio(f, f, x, (4, 4, 4, 4)),
     ),
-    "sobolev_norm": ("regularity s must be finite", lambda g, f, b: lp.sobolev_norm(f, NAN)),
+    "sobolev_norm": (
+        "regularity s must be finite", f"exponent gamma = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: lp.sobolev_norm(f, x),
+    ),
     "log_inequality_ratio": (
-        "regularity s must exceed 2", lambda g, f, b: lp.log_inequality_ratio(f, NAN)
+        "regularity s must be finite", f"regularity s = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: lp.log_inequality_ratio(f, x),
     ),
-    "bernstein_ratio-j": ("dyadic annulus", lambda g, f, b: lp.bernstein_ratio(b, NAN, 1)),
-    "bernstein_ratio-k": ("derivative order", lambda g, f, b: lp.bernstein_ratio(b, 2, NAN)),
-    "bernstein_ratio-ball": ("ball", lambda g, f, b: lp.bernstein_ratio(b, NAN, 1, "ball")),
+    "bernstein_ratio-j": (
+        "scale j must be finite", f"scale j = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: lp.bernstein_ratio(b, x, 1),
+    ),
+    "bernstein_ratio-k": (
+        "derivative order k must be finite", f"order k = 1e\\+300 at scale j = 2: .* {OVERFLOW}",
+        lambda g, f, b, x: lp.bernstein_ratio(b, 2, x),
+    ),
+    "bernstein_ratio-ball": (
+        "scale j must be finite", f"scale j = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: lp.bernstein_ratio(b, x, 1, "ball"),
+    ),
 }
 
 
-@pytest.mark.parametrize("guard", NAN_GUARDS)
-def test_nan_fails_every_guard(guard):
+@pytest.mark.parametrize(
+    "guard, value, message",
+    [
+        pytest.param(guard, value, huge if value == 1e300 else non_finite, id=f"{guard}-{value}")
+        for guard, (non_finite, huge, _) in FLOAT_GUARDS.items()
+        for value in (float("nan"), float("inf"), float("-inf"), 1e300)
+        if value != 1e300 or huge is not None
+    ],
+)
+def test_nan_fails_every_guard(guard, value, message):
     # NonFiniteFieldError is a ValueError too, so `match` tells the guard
     # from a NaN that got through it.
-    message, call = NAN_GUARDS[guard]
+    call = FLOAT_GUARDS[guard][2]
     g = sp.TorusGrid(32)
     f = sp.random_band_field(g, np.random.default_rng(1), 5)
     with pytest.raises(ValueError, match=message):
-        call(g, f, lp.dyadic_block(f, 2))
+        call(g, f, lp.dyadic_block(f, 2), value)
 
 
 class TestMonitoredNorms:

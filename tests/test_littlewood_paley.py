@@ -237,16 +237,16 @@ class TestGradientLog:
         assert max(ratios) < 10 * ratios[0]
 
     def test_split_terms_cover_all_blocks(self, grid, part):
+        # Each block's gradient sup is read on the grid of its own band.
         w = band_field(grid, seed=41, band=20)
         rep = lp.log_inequality_ratio(w, 3.0)
-        total = sum(
-            np.sqrt(sum(
-                sp.oversampled_values(sp.SpectralField(grid, part.multiplier(j) * c.coef, True), 4)
-                ** 2
-                for c in sp.velocity_gradient(w)
+        total = 0.0
+        for j in part.resolved():
+            block = sp.SpectralField(grid, part.multiplier(j) * w.coef, True)
+            factor = oracles.sampling_factor(block)
+            total += np.sqrt(sum(
+                sp.oversampled_values(c, factor) ** 2 for c in sp.velocity_gradient(block)
             ).max())
-            for j in part.resolved()
-        )
         assert rep.term_mid + rep.term_high == pytest.approx(total, rel=1e-12)
 
     def test_requires_s_above_two(self, grid):
@@ -445,9 +445,10 @@ class TestZeroBlocks:
 
     def test_band8_transform_counts(self, grid, monkeypatch):
         # Band 8 at n = 128 leaves blocks j = 4, 5, 6 empty: 4 of 7 blocks
-        # are transformed.
+        # are transformed, each pass on the collocation grid its band
+        # needs (12 * 8 <= 128).
         f = _fields(grid)["band8"]
-        m = sp.OVERSAMPLE * grid.n
+        m = grid.n
         rows = []
         monkeypatch.setattr(np.fft, "irfft", _counting(np.fft.irfft, rows))
         lp.log_inequality_ratio(f, 3.0)

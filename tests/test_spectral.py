@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import math
 import pickle
 import re
 import tracemalloc
@@ -508,10 +509,11 @@ class TestRowBlocks:
             "zero": lambda: sp.SpectralField.zeros(g),
         }[kind]()
         G = sp.random_band_field(g, rng, band=3)
+        factor = max(oracles.sampling_factor(H) for H in (F, G))  # the widest band's
         blocks = [[v.copy() for v in vals] for vals in sp.oversampled_rows((F, G))]
         for i, H in enumerate((F, G)):
             rows = np.concatenate([b[i] for b in blocks])
-            assert np.array_equal(rows, sp.oversampled_values(H, sp.OVERSAMPLE))
+            assert np.array_equal(rows, sp.oversampled_values(H, factor))
 
     def test_buffers_are_reused(self, grid64):
         F = sp.random_band_field(grid64, np.random.default_rng(3), band=9)
@@ -566,6 +568,87 @@ class TestRowBlocks:
         F = sp.random_band_field(sp.TorusGrid(128), np.random.default_rng(2), band=40)
         sp.lp_norm(F, 4)
         assert _traced_peak(lambda: sp.lp_norm(F, 4)) < 2 * 2**20
+
+
+def _grid_sups(w, factor):
+    """Maxima of |w| and of |grad u|^2 (curl u = w) on the factor-times
+    finer grid, from the four squared gradient components, streamed."""
+    cols = sp._occupied_columns(w, factor)[0]
+    top_w = top_sq = 0.0
+    for v, d11, d21, d12 in sp._fine_rows([cols, *sp._gradient_coefs(w.grid, cols)], factor):
+        top_w = max(top_w, np.abs(v).max())
+        top_sq = max(top_sq, (2.0 * d11**2 + d21**2 + d12**2).max())
+    return top_w, top_sq
+
+
+def _band_fields(n):
+    """For B = 1 .. n/3: a band-B field and the list of it and its nonzero
+    dyadic blocks.  Past n = 32 only the full-band field brings its
+    blocks: they span every block band, as block j's band stops growing
+    with B at B = 2^(j+1)."""
+    g = sp.TorusGrid(n)
+    rng = np.random.default_rng(n)
+    for b in range(1, g.dealias_cutoff + 1):
+        f = sp.random_band_field(g, rng, band=b)
+        blocks = lp.nonzero_blocks(f) if n <= 32 or b == g.dealias_cutoff else []
+        yield f, [f] + [block for block in blocks if block is not None]
+
+
+# The same node evaluated by transforms of different sizes, or |grad u|^2
+# by the trace-free identity against four squares, agrees to 1e-14
+# relative (test_gradient_magnitude_uses_the_trace_free_identity).
+ROUND_OFF = 1e-14
+
+
+def _sec_sq(x):
+    return 1.0 / math.cos(x) ** 2
+
+
+class TestBandGrid:
+    """Sup and L^p norms sample a field of band B on the grid of the
+    smallest power-of-two factor f >= 1 with f n >= 12 B, at most 4."""
+
+    def test_factor_rule(self):
+        g = sp.TorusGrid(128)
+        band8 = sp.random_band_field(g, np.random.default_rng(0), band=8)
+        edge = np.zeros((128, 128), dtype=np.complex128)
+        edge[0, g.dealias_cutoff] = edge[0, -g.dealias_cutoff] = 1.0
+        cases = [(band8, 1), (sp.SpectralField(g, edge), 4), (sp.SpectralField.zeros(g), 1)]
+        for F, factor in cases:
+            assert sp._occupied_columns(F)[1] == oracles.sampling_factor(F) == factor
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_sups_lie_within_the_derived_bounds(self, n):
+        # Nested grids: collocation max <= sampled sup <= 4x-grid max.
+        # Ehlich-Zeller in each variable, on m > 2 deg nodes: a degree-d
+        # polynomial's sup is at most sec^2(pi d / m) times its grid max;
+        # d = B for w and 2B for |grad u|^2.  The 32x grid stands for the
+        # sup.  At n = 128 it is 4096^2 points, so it checks only the
+        # widest band of each factor, where B / m is largest.
+        for f, fields in _band_fields(n):
+            for F in fields:
+                b = oracles.band(F)
+                m = oracles.sampling_factor(F) * n
+                s_w, s_grad = sp.vorticity_gradient_sups(F)
+                assert s_w == sp.lp_norm(F, np.inf)
+                lo_w, lo_sq = _grid_sups(F, 1)
+                hi_w, hi_sq = _grid_sups(F, 4)
+                assert lo_w * (1 - ROUND_OFF) <= s_w <= hi_w * (1 + ROUND_OFF)
+                assert lo_sq * (1 - ROUND_OFF) <= s_grad**2 <= hi_sq * (1 + ROUND_OFF)
+                if n == 128 and (F is not f or b not in (10, 21, 42)):
+                    continue
+                ref_w, ref_sq = _grid_sups(F, 32)
+                assert ref_w <= _sec_sq(np.pi * b / m) * s_w * (1 + ROUND_OFF)
+                assert ref_sq <= _sec_sq(2 * np.pi * b / m) * s_grad**2 * (1 + ROUND_OFF)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_lp4_and_lp8_are_exact_on_the_band_grid(self, n):
+        # |f|^p has degree p B < m = f n, so its grid mean is the integral.
+        for _, fields in _band_fields(n):
+            for F in fields:
+                for p in (4, 8):
+                    whole = sp.lp_of_samples([sp.oversampled_values(F, sp.OVERSAMPLE)], p)
+                    assert sp.lp_norm(F, p) == pytest.approx(whole, rel=1e-13)
 
 
 def _traced_peak(fn):

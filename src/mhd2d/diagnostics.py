@@ -6,8 +6,8 @@ and sup norms are evaluated on a physical grid refined by a factor up to
 shortest wavelength, never coarser than the collocation grid), because
 the collocation max of a band-limited field underestimates its true sup.
 A record of a state whose band exceeds n/6 samples on the OVERSAMPLE
-grid; the commutator, positivity and product diagnostics take the
-factor their product's band needs.
+grid.  The commutator and positivity diagnostics take their products
+from `spectral.product` and their norms from `spectral.lp_norm`.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
     diss_u, diff_b, hbeta_j = budget_integrand(state, config)
     h2beta_b = _curl_sobolev_sq(j, 2.0 * config.beta)
 
-    # The power sums are those of `sp.lp_of_samples`, so lp4_w and lp8_w
+    # The power sums are those of `sp.lp_norm`, so lp4_w and lp8_w
     # equal `sp.lp_norm` bit for bit.  np.maximum keeps a NaN for the
     # check below.
     top_w = top_grad_sq = 0.0
@@ -94,6 +94,8 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
         count += v.size
     lp4_w = sp.lp_of_power_mean(sum4 / count, 4)
     lp8_w = sp.lp_of_power_mean(sum8 / count, 8)
+    if lp8_w == 0.0 < top_w:  # |w|^8 underflowed: `sp.lp_norm` takes it up
+        lp4_w, lp8_w = sp.lp_norm(w, 4), sp.lp_norm(w, 8)
 
     rec = DiagnosticsRecord(
         t=float(state.t),
@@ -160,7 +162,8 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
 
     `exponents` is (p1, p2, p3, p4) with 1/p1 + 1/p2 == 1/p3 + 1/p4
     defining p by Hoelder; implemented exponents come from {2, 4, inf}.
-    Returns 0 when the commutator vanishes identically.
+    The active bands of f and g may sum to at most n/2 - 1.  Returns 0
+    when the commutator vanishes identically.
     """
     sp.check_finite("order s", s)
     if not s > 0:
@@ -179,33 +182,21 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     else:
         p = 1.0 / ip
     sp._check_same_grid(f, g)
-    n = f.grid.n
-    bf, bg = sp.active_band(f), sp.active_band(g)
-    if bf + bg > n // 2 - 1:
+    if sp.active_band(f) + sp.active_band(g) > f.grid.n // 2 - 1:
         raise ValueError("combined bands exceed the alias-free product range")
 
-    factor = sp._oversample_factor_for(bf, bg, n=n, margin=3)
-    fine = sp.TorusGrid(factor * n)
-    fv = sp.oversampled_values(f, factor)
-    gv = sp.oversampled_values(g, factor)
-    prod = sp.forward(sp.RealField(fine, fv * gv))
-    lam_s_prod = sp.fractional_laplacian(prod, s / 2.0)
-    lam_s_g = sp.oversampled_values(sp.fractional_laplacian(g, s / 2.0), factor)
-    left_vals = sp.inverse(lam_s_prod).values - fv * lam_s_g
-    left = sp.lp_of_samples([left_vals], p)
+    lam_s_g = sp.fractional_laplacian(g, s / 2.0)
+    commutator = sp.fractional_laplacian(sp.product(f, g), s / 2.0) - sp.product(f, lam_s_g)
+    left = sp.lp_norm(commutator, p)
     if left == 0.0:
         return 0.0
 
-    grad_f = np.sqrt(
-        sp.oversampled_values(sp.partial_derivative(f, 1), factor) ** 2
-        + sp.oversampled_values(sp.partial_derivative(f, 2), factor) ** 2
+    d1, d2 = (sp.partial_derivative(f, axis) for axis in (1, 2))
+    grad_sq = sp.product(d1, d1) + sp.product(d2, d2)
+    term1 = math.sqrt(sp.lp_norm(grad_sq, p1 / 2.0)) * sp.lp_norm(
+        sp.fractional_laplacian(g, (s - 1.0) / 2.0), p2
     )
-    term1 = sp.lp_of_samples([grad_f], p1) * sp.lp_of_samples(
-        [sp.oversampled_values(sp.fractional_laplacian(g, (s - 1.0) / 2.0), factor)], p2
-    )
-    term2 = sp.lp_of_samples(
-        [sp.oversampled_values(sp.fractional_laplacian(f, s / 2.0), factor)], p3
-    ) * sp.lp_of_samples([gv], p4)
+    term2 = sp.lp_norm(sp.fractional_laplacian(f, s / 2.0), p3) * sp.lp_norm(g, p4)
     if term1 + term2 == 0.0:
         # grad f == 0 and Lambda^s f == 0 force f constant, where the
         # commutator vanishes identically.
@@ -215,25 +206,25 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
 
 def positivity_check(f: SpectralField, p: int, alpha: float):
     """Both sides of 2 int |Lambda^alpha(f^(p/2))|^2 <= p int f^(p-1) Lambda^(2 alpha) f
-    for even p (f >= 0 required when p > 2); returns (lhs, rhs)."""
+    for even p (f >= 0 required when p > 2); returns (lhs, rhs).  The rhs
+    integral is (2 pi)^2 m^-2 times the zero mode of `sp.product(f, ..,
+    f, Lambda^(2 alpha) f)` on its m-grid, where the sign guard samples f
+    (on the 2n grid if m = n)."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     n = f.grid.n
-    band = sp.active_band(f)
-    if band == 0:
-        return 0.0, 0.0
-    factor = sp._oversample_factor_for(band, n=n, margin=p)
-    fine = sp.TorusGrid(factor * n)
-    fv = sp.oversampled_values(f, factor)
-    if p > 2 and fv.min() < -1e-12 * np.abs(fv).max():
-        raise ValueError("p > 2 requires a pointwise nonnegative field")
+    integrand = sp.product(*[f] * (p - 1), sp.fractional_laplacian(f, alpha))
+    m = integrand.grid.n
+    if p > 2:
+        fv = sp.oversampled_values(f, max(2, m // n))
+        if fv.min() < -1e-12 * np.abs(fv).max():
+            raise ValueError("p > 2 requires a pointwise nonnegative field")
 
-    half_power = sp.forward(sp.RealField(fine, fv ** (p // 2)))
-    lhs = 2.0 * sp.weighted_l2_norm_sq(half_power, sp.symbol_power(fine, alpha))
-    lam2a = sp.oversampled_values(sp.fractional_laplacian(f, alpha), factor)
-    rhs = p * TWO_PI**2 * float(np.mean(fv ** (p - 1) * lam2a))
+    half_power = sp.product(*[f] * (p // 2))
+    lhs = 2.0 * sp.weighted_l2_norm_sq(half_power, sp.symbol_power(half_power.grid, alpha))
+    rhs = p * TWO_PI**2 * integrand.coef[0, 0].real / m**2
     return lhs, rhs
 
 

@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from . import spectral as sp
-from .spectral import SpectralField, TorusGrid, TWO_PI
+from .spectral import SpectralField, TorusGrid
 
 
 def _in_support(r: np.ndarray) -> np.ndarray:
@@ -108,6 +108,9 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
     """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}."""
     if not f.is_zero_mean():
         raise sp.MeanModeError("homogeneous Besov norm needs a zero-mean field")
+    if spec.s > 0:
+        j_max = build_partition(f.grid).j_max
+        sp.check_weight(f"regularity index s = {spec.s}", 2.0, j_max * spec.s)
     terms = np.array([
         2.0 ** (j * spec.s) * (0.0 if block is None else sp.lp_norm(block, spec.p))
         for j, block in enumerate(nonzero_blocks(f))
@@ -187,7 +190,8 @@ def bony_decompose(f: SpectralField, g: SpectralField):
 
 def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, sigma2: float) -> float:
     """||fg||_{H^dot(s1+s2-1)} / (||f||_{H^dot s1} ||g||_{H^dot s2}) for
-    s1, s2 < 1 with s1 + s2 > 0; zero when f or g vanishes."""
+    s1, s2 < 1 with s1 + s2 > 0; zero when f or g vanishes.  fg is
+    `sp.product(f, g)`, on the grid its bands need."""
     if not (sigma1 < 1.0 and sigma2 < 1.0 and sigma1 + sigma2 > 0.0):
         raise ValueError(
             f"need sigma1, sigma2 < 1 and sigma1 + sigma2 > 0, got ({sigma1}, {sigma2})"
@@ -199,13 +203,7 @@ def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, si
     denom = sobolev_norm(f, sigma1) * sobolev_norm(g, sigma2)
     if denom == 0.0:
         return 0.0
-    n = f.grid.n
-    factor = sp._oversample_factor_for(sp.active_band(f), sp.active_band(g), n=n)
-    fine = sp.TorusGrid(factor * n)
-    prod = sp.forward(
-        sp.RealField(fine, sp.oversampled_values(f, factor) * sp.oversampled_values(g, factor))
-    )
-    num = sobolev_norm(sp.zero_mean(prod), sigma1 + sigma2 - 1.0)
+    num = sobolev_norm(sp.zero_mean(sp.product(f, g)), sigma1 + sigma2 - 1.0)
     return num / denom
 
 

@@ -31,8 +31,8 @@ Conventions used throughout the package:
   needs the inverse transform of that grid times factor^2.
   `_fine_rows` writes factor^2 * coef while it zero-pads, so no pass
   sweeps the fine grid again.  For a power-of-two factor (every one the
-  package uses, 1 included: the collocation grid, where `inverse` and
-  the norms of a field of low band sample) so is factor^2, and scaling
+  package uses, 1 included: the collocation grid, where the norms and
+  products of fields of low band sample) so is factor^2, and scaling
   the input gives the bits of scaling the output (barring overflow and
   underflow).
 * Zero-tailed half spectrum.  irfft pads a short input with zeros, with
@@ -44,13 +44,18 @@ Conventions used throughout the package:
   `_fine_rows`.
 * Row blocks.  `_fine_rows` runs the real pass gcd(ROW_BLOCK, m) rows of
   an m-row grid at a time, from a zero-tailed half spectrum per field.
-  `oversampled_values` (so `inverse`, and the products of fields in the
-  commutator, paraproduct, positivity and product diagnostics) writes
-  the blocks into one whole array at the factor its caller gives.  A sup
-  or L^p (p != 2) norm needs only a max or a sum: `oversampled_rows`
-  yields each block in scratch that the next block overwrites, and
-  `lp_norm` and `vorticity_gradient_rows` (the one source of w and
-  |grad u|^2 on a grid) reduce each block as it comes.
+  `oversampled_values` (so `product`, the paraproduct blocks and the
+  positivity guard) writes the blocks into one whole array at the factor
+  its caller gives.  A sup or L^p (p != 2) norm needs only a max or a
+  sum: `oversampled_rows` yields each block in scratch that the next
+  block overwrites, and `lp_norm` and `vorticity_gradient_rows` (the one
+  source of w and |grad u|^2 on a grid) reduce each block as it comes.
+* Products.  `product` samples fields of active bands summing to B on
+  the grid of the smallest power-of-two factor f >= 1 with
+  f n/2 - 1 >= B.  No mode of the product has a component beyond
+  B <= m/2 - 1 on that m = f n grid, so none wraps onto another: the
+  transform of the sampled product is its exact spectrum.  Sums of
+  products on different grids form on the finer (`SpectralField.__add__`).
 * The grid follows the band.  A sup or L^p (p != 2) norm samples a field
   of band B (the largest |xi_1| or |xi_2| of a nonzero coefficient) on
   the grid of the smallest power of two f >= 1 with f n >= 3 OVERSAMPLE B,
@@ -86,7 +91,7 @@ gives it up and keeps no view of it: such a view would still write into
 the field.  No operation mutates a field, and none writes to its
 inputs except scratch blocks: `oversampled_rows` reuses its yielded
 buffers, `vorticity_gradient_rows` overwrites them with |grad u|^2, and
-`power_sum` and `lp_of_samples` overwrite the blocks they are given.
+`power_sum` overwrites the block it is given.
 """
 
 from __future__ import annotations
@@ -201,11 +206,6 @@ class TorusGrid:
         # A copy or an unpickled grid is the one grid of its n.
         return TorusGrid, (self.n,)
 
-    def coordinates(self):
-        """Meshgrid (X1, X2) of collocation points."""
-        x = np.arange(self.n) * (TWO_PI / self.n)
-        return np.meshgrid(x, x, indexing="ij")
-
     @property
     def spacing(self) -> float:
         return TWO_PI / self.n
@@ -236,11 +236,6 @@ class RealField:
         if not np.isfinite(v).all():
             raise NonFiniteFieldError("real field contains non-finite samples")
         object.__setattr__(self, "values", _frozen(v))
-
-    @classmethod
-    def from_function(cls, grid: TorusGrid, fn) -> "RealField":
-        x1, x2 = grid.coordinates()
-        return cls(grid, fn(x1, x2))
 
 
 @dataclass(frozen=True)
@@ -288,6 +283,18 @@ class SpectralField:
         """True if the xi=0 coefficient is at most 1e-12 of the largest
         coefficient (exactly zero for a zero field)."""
         return _mean_is_zero(self.coef)
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        """The sum of the two trigonometric polynomials on the finer grid,
+        where the field of the coarser one, Nyquist-free, is resampled."""
+        coarse, fine = sorted((self, other), key=lambda F: F.grid.n)
+        if coarse.grid is not fine.grid:
+            factor = fine.grid.n // coarse.grid.n
+            coarse = forward(RealField(fine.grid, oversampled_values(coarse, factor)))
+        return SpectralField(fine.grid, coarse.coef + fine.coef)
+
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
+        return self + SpectralField(other.grid, -other.coef)
 
 
 def _mean_is_zero(coef: np.ndarray) -> bool:
@@ -346,11 +353,6 @@ def forward(f: RealField) -> SpectralField:
     """Physical samples -> spectral coefficients (unnormalized)."""
     n = f.grid.n
     return SpectralField(f.grid, _hermitian_extend(_forward_columns(f.values, n // 2 + 1), n))
-
-
-def inverse(F: SpectralField) -> RealField:
-    """Spectral coefficients -> physical samples (1/n^2 normalization)."""
-    return RealField(F.grid, oversampled_values(F, 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -493,9 +495,8 @@ def _occupied_columns(F: SpectralField, factor: int | None = None):
 
 def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a factor-times finer grid;
-    factor 1 gives the collocation samples of `inverse`.  The whole
-    (factor*n)^2 array: sup and L^p reductions go through
-    `oversampled_rows` instead."""
+    factor 1 gives the collocation samples.  The whole (factor*n)^2
+    array: sup and L^p reductions go through `oversampled_rows` instead."""
     m = factor * F.grid.n
     values = np.empty((m, m))
     for _ in _fine_rows([_occupied_columns(F, factor)[0]], factor, out=[values]):
@@ -547,14 +548,22 @@ def _fine_rows(leading, factor, out=None):
         yield dests
 
 
-def _oversample_factor_for(*bands, n: int, margin: int = 1) -> int:
-    """Smallest power-of-two factor >= 2 so the fine grid resolves the
-    stated product band with room to spare."""
-    need = sum(bands) * margin
+def product(*fields: SpectralField) -> SpectralField:
+    """The exact spectrum of the pointwise product of the fields, on the
+    grid their active bands need (module docstring); zero beyond them."""
+    _check_same_grid(*fields)
+    n = fields[0].grid.n
+    band = sum(active_band(F) for F in fields)
     factor = 1
-    while factor * n // 2 - 1 < need:
+    while factor * n // 2 - 1 < band:
         factor *= 2
-    return max(factor, 2)
+    m = factor * n
+    unique = {id(F): F for F in fields}  # a field given more than once is evaluated once
+    samples = {key: oversampled_values(F, factor) for key, F in unique.items()}
+    values = functools.reduce(np.multiply, (samples[id(F)] for F in fields))
+    cols = _forward_columns(values, band + 1)
+    cols[band + 1 : m - band] = 0.0  # round-off beyond the band
+    return SpectralField(TorusGrid(m), _hermitian_extend(cols, m))
 
 
 def lp_of_power_mean(mean: float, p: float) -> float:
@@ -576,30 +585,31 @@ def power_sum(v: np.ndarray, p: float) -> float:
     return float(np.sum(v))
 
 
-def lp_of_samples(blocks, p: float) -> float:
-    """L^p norm over [0, 2pi)^2 of a function from its samples on a
-    uniform grid, given as blocks of rows (one block for a whole array);
-    the largest |sample| for p = inf.  Overwrites the blocks, which may be
-    the scratch blocks `oversampled_rows` yields."""
-    if np.isinf(p):
-        return float(np.max([np.abs(v, out=v).max() for v in blocks]))
-    total = 0.0
-    count = 0
-    for v in blocks:
-        total += power_sum(v, p)
-        count += v.size
-    return lp_of_power_mean(total / count, p)
-
-
 def lp_norm(F: SpectralField, p: float) -> float:
     """L^p norm over [0, 2pi)^2; p=2 by Parseval, otherwise from the field's
     samples on the grid its band needs (module docstring; grid max for
-    p = inf), exact for p = 4 and 8; p in [1, inf]."""
+    p = inf), exact for p = 4 and 8; p in [1, inf].  Where the mean of
+    |f|^p over- or underflows (a huge p, or a tiny or huge field) it is
+    taken relative to the sampled sup, so a nonzero field never reads 0."""
     if not 1.0 <= p <= np.inf:  # NaN fails too
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     if p == 2:
         return l2_norm(F)
-    return lp_of_samples((v for v, in oversampled_rows((F,))), p)
+    blocks = (v for v, in oversampled_rows((F,)))
+    if np.isinf(p):
+        return float(np.max([np.abs(v, out=v).max() for v in blocks]))
+    total = 0.0
+    count = 0
+    with np.errstate(over="ignore"):  # an overflow is taken up below
+        for v in blocks:
+            total += power_sum(v, p)
+            count += v.size
+    norm = lp_of_power_mean(total / count, p)
+    if not 0.0 < norm < math.inf and F.coef.any():
+        top = lp_norm(F, np.inf)
+        total = sum(power_sum(v / top, p) for v, in oversampled_rows((F,)))
+        norm = top * lp_of_power_mean(total / count, p)
+    return norm
 
 
 def vorticity_gradient_rows(w: SpectralField):

@@ -1,5 +1,7 @@
 """Test oracles: the momentum/induction and flux forms of the tendency, the
-dilation `rescale`, and the `curl`, `divergence` and `dealias` they need.
+dilation `rescale`, and the `inverse`, `curl`, `divergence` and `dealias`
+they need; fields sampled from a function (`coordinates`,
+`from_function`).
 The solver evolves only the vorticity-current form; no package module
 imports this file.  `classify_growth` and `hgamma_b_norm` wait here for
 the run summary of ROADMAP D4, their first caller."""
@@ -14,6 +16,22 @@ import numpy as np
 from mhd2d import spectral as sp
 from mhd2d.dynamics import MHDState, SimulationAbort, SolverConfig
 from mhd2d.spectral import SpectralField
+
+
+def coordinates(grid):
+    """Meshgrid (X1, X2) of the collocation points of `grid`."""
+    x = np.arange(grid.n) * (sp.TWO_PI / grid.n)
+    return np.meshgrid(x, x, indexing="ij")
+
+
+def from_function(grid, fn) -> sp.RealField:
+    """fn(X1, X2) sampled on the collocation points of `grid`."""
+    return sp.RealField(grid, fn(*coordinates(grid)))
+
+
+def inverse(F: SpectralField) -> sp.RealField:
+    """Spectral coefficients -> physical samples (1/n^2 normalization)."""
+    return sp.RealField(F.grid, sp.oversampled_values(F, 1))
 
 
 def curl(v1: SpectralField, v2: SpectralField) -> SpectralField:
@@ -40,9 +58,9 @@ def flux_form_rhs(state):
     """Coefficients of the ideal tendency in flux form:
     dw = -i xi . P[FT(u w - b j)], dj = |xi|^2 P[FT(u1 b2 - u2 b1)]."""
     g = state.grid
-    u1, u2 = (sp.inverse(f).values for f in sp.biot_savart(state.w))
-    b1, b2 = (sp.inverse(f).values for f in sp.biot_savart(state.j))
-    w, j = sp.inverse(state.w).values, sp.inverse(state.j).values
+    u1, u2 = (inverse(f).values for f in sp.biot_savart(state.w))
+    b1, b2 = (inverse(f).values for f in sp.biot_savart(state.j))
+    w, j = inverse(state.w).values, inverse(state.j).values
 
     def product(v):
         return dealias(sp.forward(sp.RealField(g, v))).coef
@@ -98,7 +116,7 @@ def primitive_rhs(pstate: PrimitiveState, config: SolverConfig) -> PrimitiveStat
     g = pstate.u1.grid
 
     def ir(F):
-        return sp.inverse(F).values
+        return inverse(F).values
 
     u1, u2, b1, b2 = ir(pstate.u1), ir(pstate.u2), ir(pstate.b1), ir(pstate.b2)
     d = {}

@@ -91,6 +91,52 @@ class TestRatios:
         lhs, rhs = dg.positivity_check(f, p, alpha)
         assert 0.0 < lhs <= rhs
 
+    def test_commutator_ratio_of_anisotropic_fields(self):
+        # f = cos x1 + cos 11 x2: (d1 f)^2 forms on the n grid, (d2 f)^2 on
+        # the 2n grid.  The 1e-14 mode of g lies below the active-band
+        # threshold and that of Lambda^2 g above it, so Lambda^2(fg) forms
+        # on the n grid and f Lambda^2 g on the 2n grid.  Each sum or
+        # difference is taken on the finer grid.
+        n = 32
+        g = sp.TorusGrid(n)
+        f = modes(g, (1.0, 1, 0), (1.0, 0, 11))
+        h = modes(g, (1.0, 0, 1), (1e-14, 5, 0))
+        d1, d2 = (sp.partial_derivative(f, axis) for axis in (1, 2))
+        assert [sp.product(d1, d1).grid.n, sp.product(d2, d2).grid.n] == [n, 2 * n]
+        assert sp.product(f, h).grid.n == n
+        assert sp.product(f, sp.fractional_laplacian(h, 1.0)).grid.n == 2 * n
+        ratio = dg.commutator_ratio(f, h, 2.0, (4, 4, 4, 4))
+        assert ratio == pytest.approx(_commutator_on_the_4n_grid(f, h, 2.0), rel=1e-13)
+
+    @pytest.mark.parametrize("band, p, factor", [(2, 4, 2), (4, 4, 2), (4, 6, 2), (8, 4, 4)])
+    def test_positivity_guard_samples_on_its_grid(self, band, p, factor):
+        # f = c + cos(band x1 + phi) with each trough halfway between the
+        # nodes of the m-grid: f >= (1 - cos(band pi/m))/2 > 0 there, and
+        # -(1 - cos(band pi/m))/2 at the trough, a node of the 2m-grid.
+        # The guard samples on the grid of factor max(2, k), k the
+        # smallest power of two with k n/2 - 1 >= p band.
+        n = 32
+        g = sp.TorusGrid(n)
+
+        def trough_between_nodes(m):
+            coef = np.zeros((n, n), dtype=np.complex128)
+            coef[0, 0] = 0.5 * (1.0 + math.cos(band * math.pi / m)) * n**2
+            coef[band, 0] = 0.5 * n**2 * np.exp(1j * (math.pi - band * math.pi / m))
+            coef[-band, 0] = np.conj(coef[band, 0])
+            return sp.SpectralField(g, coef)
+
+        lhs, rhs = dg.positivity_check(trough_between_nodes(factor * n), p, 0.5)
+        assert 0.0 < lhs <= rhs
+        with pytest.raises(ValueError, match="p > 2 requires a pointwise nonnegative field"):
+            dg.positivity_check(trough_between_nodes(factor * n // 2), p, 0.5)
+
+    def test_commutator_rejects_bands_summing_to_half_n(self):
+        g = sp.TorusGrid(32)
+        f = modes(g, (1.0, 8, 0))
+        assert dg.commutator_ratio(f, modes(g, (1.0, 0, 7)), 1.0, (4, 4, 4, 4)) > 0.0
+        with pytest.raises(ValueError, match="combined bands exceed the alias-free product range"):
+            dg.commutator_ratio(f, modes(g, (1.0, 0, 8)), 1.0, (4, 4, 4, 4))
+
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize(
         "exponents, expect",
@@ -105,6 +151,26 @@ class TestRatios:
         g = sp.TorusGrid(n)
         ratio = dg.commutator_ratio(modes(g, (1.0, 1, 0)), modes(g, (1.0, 0, 1)), 2.0, exponents)
         assert ratio == pytest.approx(expect, rel=1e-14)
+
+
+def _commutator_on_the_4n_grid(f, g, s):
+    """The (4, 4, 4, 4) commutator ratio from samples on the 4n grid, where
+    each product is alias-free and each power mean an exact integral."""
+    def on_4n(F):
+        return sp.oversampled_values(F, 4)
+
+    def norm(v, p):
+        return ((2 * math.pi) ** 2 * np.mean(np.abs(v) ** p)) ** (1.0 / p)
+
+    fv, gv = on_4n(f), on_4n(g)
+    fg = sp.forward(sp.RealField(sp.TorusGrid(4 * f.grid.n), fv * gv))
+    left = oracles.inverse(sp.fractional_laplacian(fg, s / 2)).values - fv * on_4n(
+        sp.fractional_laplacian(g, s / 2)
+    )
+    grad = np.sqrt(sum(on_4n(sp.partial_derivative(f, axis)) ** 2 for axis in (1, 2)))
+    term1 = norm(grad, 4) * norm(on_4n(sp.fractional_laplacian(g, (s - 1) / 2)), 4)
+    term2 = norm(on_4n(sp.fractional_laplacian(f, s / 2)), 4) * norm(gv, 4)
+    return norm(left, 2) / (term1 + term2)
 
 
 class TestZeroMeanPreconditions:
@@ -185,6 +251,10 @@ FLOAT_GUARDS = {
         "derivative order k must be finite", f"order k = 1e\\+300 at scale j = 2: .* {OVERFLOW}",
         lambda g, f, b, x: lp.bernstein_ratio(b, 2, x),
     ),
+    "besov_norm-s": (
+        "regularity index s must be finite", f"regularity index s = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: lp.besov_norm(f, lp.BesovSpec(x, 4, 2)),
+    ),
     "bernstein_ratio-ball": (
         "scale j must be finite", f"scale j = 1e\\+300: .* {OVERFLOW}",
         lambda g, f, b, x: lp.bernstein_ratio(b, x, 1, "ball"),
@@ -209,6 +279,21 @@ def test_nan_fails_every_guard(guard, value, message):
     f = sp.random_band_field(g, np.random.default_rng(1), 5)
     with pytest.raises(ValueError, match=message):
         call(g, f, lp.dyadic_block(f, 2), value)
+
+
+def test_a_huge_p_or_a_tiny_field_reads_no_zero_norm():
+    # |f|^p under- or overflows; the norm is then taken relative to the
+    # sampled sup, at most (2 pi)^(2/p) times it.
+    g = sp.TorusGrid(32)
+    f = sp.random_band_field(g, np.random.default_rng(1), 5)
+    top = sp.lp_norm(f, np.inf)
+    for p in (1e300, 1e4):
+        assert 0.0 < sp.lp_norm(f, p) <= (2 * math.pi) ** (2 / p) * top
+    assert 0.0 < lp.besov_norm(f, lp.BesovSpec(0.5, 1e300, 2)) < math.inf
+    for scale in (1e-170, 1e200):
+        scaled = sp.SpectralField(g, scale * f.coef)
+        for p in (3, 4, 8):
+            assert sp.lp_norm(scaled, p) == pytest.approx(scale * sp.lp_norm(f, p), rel=1e-12)
 
 
 class TestMonitoredNorms:

@@ -118,7 +118,7 @@ class TestNorms:
             lp.besov_norm(sp.SpectralField(grid, coef), lp.BesovSpec(0.5, 2, 2))
 
     def test_sobolev_single_mode(self, grid):
-        f = sp.zero_mean(sp.forward(sp.RealField.from_function(grid, lambda x1, x2: np.sin(2 * x1))))
+        f = sp.zero_mean(sp.forward(oracles.from_function(grid, lambda x1, x2: np.sin(2 * x1))))
         assert lp.sobolev_norm(f, 1.5) == pytest.approx(2.0**1.5 * sp.l2_norm(f))
         assert lp.sobolev_norm(f, 0.0) == pytest.approx(sp.l2_norm(f))
 
@@ -219,7 +219,7 @@ class TestGradientLog:
     def test_single_mode_closed_form(self, grid):
         # w = sin x1: u = (0, -cos x1), grad-sup = 1 = ||w||_inf.
         w = sp.zero_mean(oracles.dealias(sp.forward(
-            sp.RealField.from_function(grid, lambda x1, x2: np.sin(x1))
+            oracles.from_function(grid, lambda x1, x2: np.sin(x1))
         )))
         rep = lp.log_inequality_ratio(w, 3.0)
         l2_u = np.pi * np.sqrt(2)

@@ -70,12 +70,13 @@ class TestTorusGrid:
         assert grid_calls == []
 
     def test_each_grid_is_built_once(self, grid_calls):
-        # Two diagnostics in a row sample on the same 2n grid; the second
-        # and every later one must find it built.
+        # A product of bands 3 + 3 + 3 > 16/2 - 1 and two Bony splits in a
+        # row sample on the same 2n grid; the second and every later call
+        # must find it built.
         g = sp.TorusGrid(16)
         f = sp.random_band_field(g, np.random.default_rng(3), 3)
         h = sp.random_band_field(g, np.random.default_rng(4), 3)
-        dg.positivity_check(f, 2, 0.5)
+        assert sp.product(f, h, h).grid.n == 32
         lp.bony_decompose(f, h)
         lp.bony_decompose(f, h)
         assert sum(built for n, built in grid_calls if n == 32) <= 1
@@ -97,7 +98,7 @@ class TestTransform:
         assert np.max(np.abs(coef)) < 1e-10
 
     def test_single_mode_sine(self, grid64):
-        F = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.sin(x1)))
+        F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(x1)))
         mags = np.abs(F.coef)
         assert np.count_nonzero(mags > 1e-9) == 2
         assert F.coef[1, 0] == pytest.approx(-0.5j * 64**2)
@@ -106,7 +107,7 @@ class TestTransform:
     def test_round_trip_random_field(self, grid64):
         rng = np.random.default_rng(11)
         f = sp.RealField(grid64, rng.standard_normal((64, 64)))
-        back = sp.inverse(sp.forward(f))
+        back = oracles.inverse(sp.forward(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-12
 
     def test_forward_is_exactly_hermitian(self, grid64):
@@ -134,7 +135,7 @@ class TestTransform:
     def test_spectral_round_trip(self, seed, n):
         g = sp.TorusGrid(n)
         F = sp.forward(sp.RealField(g, np.random.default_rng(seed).standard_normal((n, n))))
-        again = sp.forward(sp.inverse(F))
+        again = sp.forward(oracles.inverse(F))
         scale = np.max(np.abs(F.coef))
         assert np.max(np.abs(again.coef - F.coef)) / scale < 1e-12
 
@@ -148,12 +149,12 @@ class TestFractionalLaplacian:
         assert np.array_equal(out.coef, F.coef)
 
     def test_full_laplacian_on_single_mode(self, grid64):
-        F = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.sin(x1)))
+        F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(x1)))
         out = sp.fractional_laplacian(F, 1.0)
         assert np.max(np.abs(out.coef - F.coef)) / 64**2 < 1e-13
 
     def test_half_power_gives_mode_magnitude(self, grid64):
-        F = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.sin(2 * x1)))
+        F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(2 * x1)))
         out = sp.fractional_laplacian(F, 0.5)
         assert np.max(np.abs(out.coef - 2.0 * F.coef)) / 64**2 < 1e-13
 
@@ -188,14 +189,14 @@ class TestFractionalLaplacian:
 
 class TestDerivatives:
     def test_d1_of_sin_x1(self, grid64):
-        F = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.sin(x1)))
-        d = sp.inverse(sp.partial_derivative(F, 1))
-        x1, _ = grid64.coordinates()
+        F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(x1)))
+        d = oracles.inverse(sp.partial_derivative(F, 1))
+        x1, _ = oracles.coordinates(grid64)
         assert np.max(np.abs(d.values - np.cos(x1))) < 1e-12
 
     def test_d2_of_sin_x1_vanishes(self, grid64):
-        F = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.sin(x1)))
-        d = sp.inverse(sp.partial_derivative(F, 2))
+        F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(x1)))
+        d = oracles.inverse(sp.partial_derivative(F, 2))
         assert np.max(np.abs(d.values)) < 1e-12
 
     def test_bad_axis_rejected(self, grid64):
@@ -206,19 +207,19 @@ class TestDerivatives:
 class TestBiotSavart:
     def test_product_mode_closed_form(self, grid64):
         w = sp.forward(
-            sp.RealField.from_function(grid64, lambda x1, x2: np.sin(x1) * np.sin(x2))
+            oracles.from_function(grid64, lambda x1, x2: np.sin(x1) * np.sin(x2))
         )
         u1, u2 = sp.biot_savart(w)
-        x1, x2 = grid64.coordinates()
-        assert np.max(np.abs(sp.inverse(u1).values - 0.5 * np.sin(x1) * np.cos(x2))) < 1e-12
-        assert np.max(np.abs(sp.inverse(u2).values + 0.5 * np.cos(x1) * np.sin(x2))) < 1e-12
+        x1, x2 = oracles.coordinates(grid64)
+        assert np.max(np.abs(oracles.inverse(u1).values - 0.5 * np.sin(x1) * np.cos(x2))) < 1e-12
+        assert np.max(np.abs(oracles.inverse(u2).values + 0.5 * np.cos(x1) * np.sin(x2))) < 1e-12
 
     def test_cos_two_x1_closed_form(self, grid64):
-        w = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.cos(2 * x1)))
+        w = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.cos(2 * x1)))
         u1, u2 = sp.biot_savart(w)
-        x1, _ = grid64.coordinates()
-        assert np.max(np.abs(sp.inverse(u1).values)) < 1e-13
-        assert np.max(np.abs(sp.inverse(u2).values - 0.5 * np.sin(2 * x1))) < 1e-12
+        x1, _ = oracles.coordinates(grid64)
+        assert np.max(np.abs(oracles.inverse(u1).values)) < 1e-13
+        assert np.max(np.abs(oracles.inverse(u2).values - 0.5 * np.sin(2 * x1))) < 1e-12
 
     def test_round_trip_and_divergence_random(self, grid64):
         rng = np.random.default_rng(21)
@@ -256,7 +257,7 @@ class TestDealias:
         exact = np.tile(np.array([1.0, 0.0, -1.0, 0.0] * 16)[:, None], (1, 64))
         assert sp.forward(sp.RealField(grid64, exact)).dealiased
         # The test is exact: round-off outside the band counts.
-        x1, _ = grid64.coordinates()
+        x1, _ = oracles.coordinates(grid64)
         assert not sp.forward(sp.RealField(grid64, np.cos(3 * x1))).dealiased
         noise = np.random.default_rng(5).standard_normal((64, 64))
         full_band = sp.forward(sp.RealField(grid64, noise))
@@ -292,7 +293,7 @@ class TestDealias:
         F = sp.random_band_field(g, rng, band=n // 3)
         G = sp.random_band_field(g, rng, band=n // 3)
 
-        prod = sp.inverse(F).values * sp.inverse(G).values
+        prod = oracles.inverse(F).values * oracles.inverse(G).values
         coarse = oracles.dealias(sp.forward(sp.RealField(g, prod)))
 
         def embed(src):
@@ -302,7 +303,7 @@ class TestDealias:
             return sp.SpectralField(fine, big)
 
         fine_prod = sp.forward(
-            sp.RealField(fine, sp.inverse(embed(F)).values * sp.inverse(embed(G)).values)
+            sp.RealField(fine, oracles.inverse(embed(F)).values * oracles.inverse(embed(G)).values)
         )
         idx = np.fft.fftfreq(n, 1.0 / n).astype(int) % (2 * n)
         restricted = fine_prod.coef[np.ix_(idx, idx)] / 4
@@ -313,7 +314,7 @@ class TestDealias:
 
 class TestNorms:
     def test_lp_norm_of_sine(self, grid64):
-        F = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.sin(x1)))
+        F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(x1)))
         assert sp.lp_norm(F, 2) == pytest.approx(np.sqrt(2) * np.pi)
         assert sp.lp_norm(F, np.inf) == pytest.approx(1.0, abs=1e-9)
         # int sin^4 over the square = 3 pi^2 / 2
@@ -322,8 +323,8 @@ class TestNorms:
     def test_oversampling_recovers_true_sup(self, grid64):
         # Collocation max of cos(31 x1) with a quarter-cell shift undershoots;
         # the 4x grid must not.
-        F = sp.forward(sp.RealField.from_function(grid64, lambda x1, x2: np.cos(16 * x1 + 0.3)))
-        coarse_max = np.max(np.abs(sp.inverse(F).values))
+        F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.cos(16 * x1 + 0.3)))
+        coarse_max = np.max(np.abs(oracles.inverse(F).values))
         over_max = np.max(np.abs(sp.oversampled_values(F, 4)))
         assert over_max >= coarse_max
         assert over_max == pytest.approx(1.0, abs=1 - np.cos(np.pi / 16))
@@ -647,8 +648,104 @@ class TestBandGrid:
         for _, fields in _band_fields(n):
             for F in fields:
                 for p in (4, 8):
-                    whole = sp.lp_of_samples([sp.oversampled_values(F, sp.OVERSAMPLE)], p)
+                    fine = sp.oversampled_values(F, sp.OVERSAMPLE)
+                    whole = sp.lp_of_power_mean(np.mean(np.abs(fine) ** p), p)
                     assert sp.lp_norm(F, p) == pytest.approx(whole, rel=1e-13)
+
+
+def _band_field(g, band, seed):
+    return sp.random_band_field(g, np.random.default_rng(seed), band=band)
+
+
+class TestProduct:
+    """`product` forms the product of fields of active bands summing to B
+    on the grid of the smallest power-of-two factor f >= 1 with
+    f n/2 - 1 >= B."""
+
+    def test_crossed_cosines(self):
+        # cos x1 cos x2 = (e^(i(x1+x2)) + e^(i(x1-x2)) + c.c.)/4.
+        n = 16
+        g = sp.TorusGrid(n)
+        cos1, cos2 = (np.zeros((n, n), dtype=np.complex128) for _ in range(2))
+        cos1[1, 0] = cos1[-1, 0] = cos2[0, 1] = cos2[0, -1] = 0.5 * n**2
+        P = sp.product(sp.SpectralField(g, cos1), sp.SpectralField(g, cos2))
+        expect = np.zeros((n, n), dtype=np.complex128)
+        expect[1, 1] = expect[1, -1] = expect[-1, 1] = expect[-1, -1] = 0.25 * n**2
+        assert P.grid is g
+        assert np.max(np.abs(P.coef - expect)) <= 1e-14 * n**2
+
+    @pytest.mark.parametrize(
+        "bands, factor",
+        [((15,), 1), ((7, 8), 1), ((8, 8), 2), ((5, 5, 5), 1), ((5, 5, 6), 2),
+         ((10, 10, 11), 2), ((10, 11, 11), 4)],
+    )
+    def test_grid_follows_the_band_sum(self, bands, factor):
+        g = sp.TorusGrid(32)
+        fields = [_band_field(g, b, seed) for seed, b in enumerate(bands)]
+        assert [sp.active_band(F) for F in fields] == list(bands)
+        assert sp.product(*fields).grid.n == factor * 32
+
+    @pytest.mark.parametrize("bands", [(3,), (3, 4), (7, 8), (8, 8), (5, 5, 6), (15, 15), (15, 15, 2)])
+    def test_matches_the_four_times_grid(self, bands):
+        # The reference transforms the product of the 4n-grid samples,
+        # alias-free for B <= 2n - 1; on the product's m-grid its modes
+        # carry (m / 4n)^2 times the coefficient.
+        n = 32
+        g = sp.TorusGrid(n)
+        fields = [_band_field(g, b, 10 + seed) for seed, b in enumerate(bands)]
+        fields.append(sp.partial_derivative(fields[0], 1))
+        mean = fields[-1].coef.copy()
+        mean[0, 0] = 0.7 * n**2
+        fields.append(sp.SpectralField(g, mean))
+        P = sp.product(*fields)
+        values = np.prod([sp.oversampled_values(F, 4) for F in fields], axis=0)
+        ref = sp.forward(sp.RealField(sp.TorusGrid(4 * n), values))
+        m = P.grid.n
+        k = P.grid.k1[:, 0].astype(int)
+        restricted = ref.coef[np.ix_(k % (4 * n), k % (4 * n))] * (m / (4 * n)) ** 2
+        scale = np.max(np.abs(restricted))
+        assert np.max(np.abs(P.coef - restricted)) <= 1e-14 * scale
+        band = sum(sp.active_band(F) for F in fields)
+        assert m // 2 - 1 >= band > m // 4 - 1 or m == n
+        outside = np.maximum(np.abs(P.grid.k1), np.abs(P.grid.k2)) > band
+        assert not P.coef[outside].any()
+
+    def test_a_field_given_twice_is_sampled_once(self, monkeypatch):
+        g = sp.TorusGrid(32)
+        f, h = _band_field(g, 5, 1), _band_field(g, 5, 2)
+        calls = []
+        real = sp.oversampled_values
+        monkeypatch.setattr(sp, "oversampled_values", lambda F, k: calls.append(F) or real(F, k))
+        sp.product(f, h, f, f)
+        assert calls == [f, h]
+
+    def test_nyquist_content_rejected(self):
+        g = sp.TorusGrid(32)
+        coef = np.zeros((32, 32), dtype=np.complex128)
+        coef[16, 0] = 1.0
+        with pytest.raises(ValueError, match="Nyquist"):
+            sp.product(sp.SpectralField(g, coef), _band_field(g, 3, 0))
+
+
+class TestSum:
+    """Fields add and subtract as trigonometric polynomials, on the finer
+    grid of the two."""
+
+    def test_fields_on_different_grids(self):
+        g, fine = sp.TorusGrid(32), sp.TorusGrid(64)
+        F, G = _band_field(g, 15, 1), _band_field(fine, 20, 2)
+        for total, sign in ((F + G, 1.0), (F - G, -1.0), (G + F, 1.0)):
+            assert total.grid is fine
+            expect = sp.oversampled_values(F, 2) + sign * sp.oversampled_values(G, 1)
+            assert np.max(np.abs(sp.oversampled_values(total, 1) - expect)) <= 1e-14 * np.max(np.abs(expect))
+        assert np.array_equal((F + F).coef, 2.0 * F.coef)
+        assert not (F - F).coef.any()
+
+    def test_nyquist_content_rejected(self):
+        coef = np.zeros((32, 32), dtype=np.complex128)
+        coef[16, 0] = 1.0
+        with pytest.raises(ValueError, match="Nyquist"):
+            sp.SpectralField(sp.TorusGrid(32), coef) + _band_field(sp.TorusGrid(64), 3, 0)
 
 
 def _traced_peak(fn):
@@ -682,15 +779,17 @@ class TestActiveBand:
         assert sp.active_band(fields[-1]) == max(n // 4, 3)
 
 
-def _lattice_builders(tree):
-    """Qualified names of the scopes that mention fftfreq: as an
-    attribute (np.fft.fftfreq), a bare name, or an imported name."""
+def _names(node):
+    return {getattr(node, field, None) for field in ("attr", "id", "name")}
+
+
+def _scopes_where(tree, hit):
+    """Qualified names of the scopes holding a node for which hit(node)."""
     found = []
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
-            names = {getattr(child, field, None) for field in ("attr", "id", "name")}
-            if "fftfreq" in names:
+            if hit(child):
                 found.append(".".join(scope) or "<module>")
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -701,13 +800,37 @@ def _lattice_builders(tree):
     return found
 
 
-def test_only_torus_grid_builds_the_lattice():
-    """The wavenumber lattice has one owner; everything else reads the grid."""
-    builders = {}
+def _package_scopes_where(hit):
+    """{scope: [module file names]} over the package's modules."""
+    scopes = {}
     for path in sorted(Path(sp.__file__).parent.glob("*.py")):
-        for scope in _lattice_builders(ast.parse(path.read_text())):
-            builders.setdefault(scope, []).append(path.name)
+        for scope in _scopes_where(ast.parse(path.read_text()), hit):
+            scopes.setdefault(scope, []).append(path.name)
+    return scopes
+
+
+def test_only_torus_grid_builds_the_lattice():
+    """The wavenumber lattice has one owner; everything else reads the grid.
+    fftfreq counts as an attribute (np.fft.fftfreq), a bare name, or an
+    imported name."""
+    builders = _package_scopes_where(lambda node: "fftfreq" in _names(node))
     assert builders == {"TorusGrid.__new__": ["spectral.py"]}
+
+
+def test_diagnostics_build_no_fine_grid():
+    """The inequality diagnostics take their products from
+    `spectral.product`: `diagnostics` constructs no grid, and
+    `littlewood_paley` only in `bony_decompose`, whose parts live on the
+    2n grid."""
+    grids = _package_scopes_where(
+        lambda node: isinstance(node, ast.Call) and "TorusGrid" in _names(node.func)
+    )
+    assert [scope for scope, names in grids.items() if "diagnostics.py" in names] == []
+    assert [scope for scope, names in grids.items() if "littlewood_paley.py" in names] == [
+        "bony_decompose"
+    ]
+    assert "product" in grids
+    assert _package_scopes_where(lambda node: "_oversample_factor_for" in _names(node)) == {}
 
 
 def test_package_holds_only_what_is_called():

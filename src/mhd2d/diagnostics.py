@@ -163,7 +163,10 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     `exponents` is (p1, p2, p3, p4) with 1/p1 + 1/p2 == 1/p3 + 1/p4
     defining p by Hoelder; implemented exponents come from {2, 4, inf}.
     The active bands of f and g may sum to at most n/2 - 1.  Returns 0
-    when the commutator vanishes identically.
+    when the commutator vanishes identically.  Each sum has its terms on
+    one grid: fg and f Lambda^s g have equal bands, and so do f^2 and
+    f Lambda^2 f in |grad f|^2 = f Lambda^2 f - Lambda^2(f^2)/2, the carre
+    du champ of the Laplacian (Bakry and Emery, Sem. Probab. XIX, 1985).
     """
     sp.check_finite("order s", s)
     if not s > 0:
@@ -177,10 +180,7 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     if abs((1.0 / p1 + 1.0 / p2) - (1.0 / p3 + 1.0 / p4)) > 1e-12:
         raise ValueError("Hoelder exponents inconsistent: 1/p1+1/p2 != 1/p3+1/p4")
     ip = 1.0 / p1 + 1.0 / p2
-    if ip == 0.0:
-        p = float("inf")
-    else:
-        p = 1.0 / ip
+    p = math.inf if ip == 0.0 else 1.0 / ip
     sp._check_same_grid(f, g)
     if sp.active_band(f) + sp.active_band(g) > f.grid.n // 2 - 1:
         raise ValueError("combined bands exceed the alias-free product range")
@@ -191,8 +191,10 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     if left == 0.0:
         return 0.0
 
-    d1, d2 = (sp.partial_derivative(f, axis) for axis in (1, 2))
-    grad_sq = sp.product(d1, d1) + sp.product(d2, d2)
+    # Lambda^2 as the grid's ksq: `sp.symbol_power` would cache a copy.
+    f_lap_f = sp.product(f, SpectralField(f.grid, f.grid.ksq * f.coef))
+    f_sq = sp.product(f, f)
+    grad_sq = f_lap_f - SpectralField(f_sq.grid, 0.5 * f_sq.grid.ksq * f_sq.coef)
     term1 = math.sqrt(sp.lp_norm(grad_sq, p1 / 2.0)) * sp.lp_norm(
         sp.fractional_laplacian(g, (s - 1.0) / 2.0), p2
     )
@@ -212,7 +214,7 @@ def positivity_check(f: SpectralField, p: int, alpha: float):
     (on the 2n grid if m = n)."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if p < 2 or p % 2 != 0:
+    if not isinstance(p, (int, np.integer)) or p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     n = f.grid.n
     integrand = sp.product(*[f] * (p - 1), sp.fractional_laplacian(f, alpha))

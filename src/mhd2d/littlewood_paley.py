@@ -105,7 +105,8 @@ class BesovSpec:
 
 
 def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
-    """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}."""
+    """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}; relative to the
+    largest term where the plain l^q sum over- or underflows."""
     if not f.is_zero_mean():
         raise sp.MeanModeError("homogeneous Besov norm needs a zero-mean field")
     if spec.s > 0:
@@ -117,7 +118,12 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
     ])
     if np.isinf(spec.q):
         return float(terms.max())
-    return float((terms**spec.q).sum() ** (1.0 / spec.q))
+    with np.errstate(over="ignore"):  # an overflow is taken up below
+        total = (terms**spec.q).sum()
+    if not 0.0 < total < math.inf and terms.any():
+        top = terms.max()
+        return float(top * ((terms / top) ** spec.q).sum() ** (1.0 / spec.q))
+    return float(total ** (1.0 / spec.q))
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
@@ -293,9 +299,8 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     apply), "ball" inside |xi| <= 2^j (upper bound only).
     """
     sp.check_finite("scale j", j)
-    sp.check_finite("derivative order k", k)
-    if not k >= 0:
-        raise ValueError(f"derivative order k must be nonnegative, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"derivative order k must be a nonnegative integer, got {k}")
     sp.check_weight(f"scale j = {j}", 2.0, j + 1)  # the annulus's outer radius
     if support not in ("annulus", "ball"):
         raise ValueError(f"support must be 'annulus' or 'ball', got {support!r}")

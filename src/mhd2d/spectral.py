@@ -47,25 +47,24 @@ Conventions used throughout the package:
   `oversampled_values` (so `product`, the paraproduct blocks and the
   positivity guard) writes the blocks into one whole array at the factor
   its caller gives.  A sup or L^p (p != 2) norm needs only a max or a
-  sum: `oversampled_rows` yields each block in scratch that the next
-  block overwrites, and `lp_norm` and `vorticity_gradient_rows` (the one
-  source of w and |grad u|^2 on a grid) reduce each block as it comes.
-* Products.  `product` samples fields of active bands summing to B on
-  the grid of the smallest power-of-two factor f >= 1 with
-  f n/2 - 1 >= B.  No mode of the product has a component beyond
-  B <= m/2 - 1 on that m = f n grid, so none wraps onto another: the
-  transform of the sampled product is its exact spectrum.  Sums of
-  products on different grids form on the finer (`SpectralField.__add__`).
-* The grid follows the band.  A sup or L^p (p != 2) norm samples a field
-  of band B (the largest |xi_1| or |xi_2| of a nonzero coefficient) on
-  the grid of the smallest power of two f >= 1 with f n >= 3 OVERSAMPLE B,
-  at most OVERSAMPLE: 12 nodes per shortest wavelength, as the OVERSAMPLE
-  grid gives a dealiased field of full band.  That grid lies between the
-  collocation and the OVERSAMPLE grid, and so does its sup.  For
-  B <= n/3, Ehlich-Zeller in each variable puts the true sup of w (degree
-  B) or |grad u|^2 (degree 2B) within sec^2(pi d / m) <= 4/3 of the
-  maximum on m = f n nodes, and the grid means of |f|^4 and |f|^8 are
-  exact integrals.
+  sum: `lp_norm` and `vorticity_gradient_rows` (the one source of w and
+  |grad u|^2 on a grid) take each block from `_fine_rows` in scratch
+  that the next block overwrites, and reduce it as it comes.
+* Products.  `product` samples fields of bands summing to B on the grid
+  of the smallest power-of-two factor f >= 1 with f n/2 - 1 >= B.  No
+  mode of the product has a component beyond B <= m/2 - 1 on that
+  m = f n grid, so none wraps onto another: the transform of the sampled
+  product is its exact spectrum.  Sums form on one grid only.
+* The grid follows the band.  A field's band B is the largest |xi_1| or
+  |xi_2| of an exactly nonzero coefficient, read by `_support`.  A sup or
+  L^p (p != 2) norm samples it on the grid of the smallest power of two
+  f >= 1 with f n >= 3 OVERSAMPLE B, at most OVERSAMPLE: 12 nodes per
+  shortest wavelength, as the OVERSAMPLE grid gives a dealiased field of
+  full band.  That grid lies between the collocation and the OVERSAMPLE
+  grid, and so does its sup.  For B <= n/3, Ehlich-Zeller in each
+  variable puts the true sup of w (degree B) or |grad u|^2 (degree 2B)
+  within sec^2(pi d / m) <= 4/3 of the maximum on m = f n nodes, and the
+  grid means of |f|^4 and |f|^8 are exact integrals.
 
 Where each invariant is checked:
 
@@ -80,8 +79,10 @@ Where each invariant is checked:
 * Hermitian symmetry: built exactly by `_hermitian_extend` on every
   forward transform, and checked on outside input by `read_checkpoint`.
 * Active spectrum: `active_modes` holds the one threshold below which a
-  coefficient counts as transform round-off; `active_band` and
-  `littlewood_paley.bernstein_ratio` read it.
+  coefficient counts as transform round-off.  Grids read the exact
+  support, checks read the active spectrum: the Nyquist check of
+  `_occupied_columns` and `diagnostics.commutator_ratio`'s band guard
+  (through `active_band`), and `littlewood_paley.bernstein_ratio`.
 
 Ownership: a field takes over a C-contiguous float64/complex128 array
 that owns its data (`base is None`) without a copy and freezes it in
@@ -89,8 +90,8 @@ place (writeable=False); it copies any other input, views included, so
 no base array can write into a field.  A caller that hands an array over
 gives it up and keeps no view of it: such a view would still write into
 the field.  No operation mutates a field, and none writes to its
-inputs except scratch blocks: `oversampled_rows` reuses its yielded
-buffers, `vorticity_gradient_rows` overwrites them with |grad u|^2, and
+inputs except scratch blocks: `_fine_rows` reuses its yielded buffers,
+`vorticity_gradient_rows` overwrites them with |grad u|^2, and
 `power_sum` overwrites the block it is given.
 """
 
@@ -108,7 +109,7 @@ TWO_PI = 2.0 * np.pi
 # and `vorticity_gradient_rows` sample a field on a grid of at most
 # OVERSAMPLE*n points per axis, chosen from its band (module docstring).
 OVERSAMPLE = 4
-# Fine-grid rows per block of `oversampled_rows`.
+# Fine-grid rows per block of `_fine_rows`.
 ROW_BLOCK = 32
 
 
@@ -285,13 +286,9 @@ class SpectralField:
         return _mean_is_zero(self.coef)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        """The sum of the two trigonometric polynomials on the finer grid,
-        where the field of the coarser one, Nyquist-free, is resampled."""
-        coarse, fine = sorted((self, other), key=lambda F: F.grid.n)
-        if coarse.grid is not fine.grid:
-            factor = fine.grid.n // coarse.grid.n
-            coarse = forward(RealField(fine.grid, oversampled_values(coarse, factor)))
-        return SpectralField(fine.grid, coarse.coef + fine.coef)
+        """The sum of two fields on one grid; GridMismatchError otherwise."""
+        _check_same_grid(self, other)
+        return SpectralField(self.grid, self.coef + other.coef)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + SpectralField(other.grid, -other.coef)
@@ -383,17 +380,6 @@ def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
     return SpectralField(F.grid, symbol_power(F.grid, gamma) * F.coef)
 
 
-def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
-    """d/dx_axis via the multiplier i*xi_axis (axis is 1 or 2)."""
-    if axis == 1:
-        k = F.grid.kd1
-    elif axis == 2:
-        k = F.grid.kd2
-    else:
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    return SpectralField(F.grid, 1j * k * F.coef)
-
-
 def _biot_savart_symbols(g: TorusGrid):
     """(i xi_2, -i xi_1)/|xi|^2, and 0 at xi = 0: the zero-mean-velocity gauge."""
     return 1j * g.kd2 * g.inv_ksq, -1j * g.kd1 * g.inv_ksq
@@ -469,21 +455,28 @@ def active_band(F: SpectralField) -> int:
     return int(max(k[active.any(axis=1)].max(initial=0), k[active.any(axis=0)].max(initial=0)))
 
 
-def _occupied_columns(F: SpectralField, factor: int | None = None):
+def _support(F: SpectralField):
     """F's leading half-spectrum columns up to the last nonzero one, all n
-    rows (a view), and the factor of the grid to sample F on: `factor`, or
-    when it is None the band's factor (module docstring).
-
-    A finer grid needs a Nyquist-free spectrum (max component <= n/2 - 1).
-    Only a field whose band reaches n/2, never a dealiased one, pays for
-    the `active_band` scan, which lets round-off on the Nyquist lines
-    pass."""
+    rows (a view), and F's band (module docstring; 0 for the zero field),
+    from the columns' width and the rows they occupy."""
     n = F.grid.n
     occupied = np.flatnonzero(F.coef[:, : n // 2 + 1].any(axis=0))
     width = int(occupied[-1]) + 1 if occupied.size else 1
     cols = F.coef[:, :width]
     rows = np.abs(F.grid.k1[:, 0])[cols.any(axis=1)]  # |xi_1| of each occupied row
-    band = max(width - 1, int(rows.max(initial=0)))
+    return cols, max(width - 1, int(rows.max(initial=0)))
+
+
+def _occupied_columns(F: SpectralField, factor: int | None = None):
+    """F's `_support` columns and the factor of the grid to sample F on:
+    `factor`, or when it is None that of F's exact band (module docstring).
+
+    A finer grid needs a Nyquist-free spectrum (max component <= n/2 - 1).
+    Only a field whose exact band reaches n/2, never a dealiased one, pays
+    for the `active_band` scan, which lets round-off on the Nyquist lines
+    pass."""
+    n = F.grid.n
+    cols, band = _support(F)
     if factor is None:
         factor = 1
         while factor < OVERSAMPLE and factor * n < 3 * OVERSAMPLE * band:
@@ -496,26 +489,12 @@ def _occupied_columns(F: SpectralField, factor: int | None = None):
 def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a factor-times finer grid;
     factor 1 gives the collocation samples.  The whole (factor*n)^2
-    array: sup and L^p reductions go through `oversampled_rows` instead."""
+    array: sup and L^p reductions stream `_fine_rows` instead."""
     m = factor * F.grid.n
     values = np.empty((m, m))
     for _ in _fine_rows([_occupied_columns(F, factor)[0]], factor, out=[values]):
         pass
     return values
-
-
-def oversampled_rows(fields):
-    """For each block of consecutive rows of the grid that the widest
-    band among the fields needs (module docstring), yield a list with the
-    values of each field on those rows: the rows of
-    `oversampled_values(F, factor)` at that shared factor, bit for bit.
-
-    The yielded arrays are scratch: one buffer per field, overwritten by
-    the next block, which the caller may also overwrite.
-    """
-    _check_same_grid(*fields)
-    leading, factors = zip(*(_occupied_columns(F) for F in fields))
-    yield from _fine_rows(leading, max(factors))
 
 
 def _fine_rows(leading, factor, out=None):
@@ -550,10 +529,11 @@ def _fine_rows(leading, factor, out=None):
 
 def product(*fields: SpectralField) -> SpectralField:
     """The exact spectrum of the pointwise product of the fields, on the
-    grid their active bands need (module docstring); zero beyond them."""
+    grid the sum of their exact bands needs (module docstring); zero
+    beyond that sum.  No coefficient of a field is cut, however small."""
     _check_same_grid(*fields)
     n = fields[0].grid.n
-    band = sum(active_band(F) for F in fields)
+    band = sum(_support(F)[1] for F in fields)
     factor = 1
     while factor * n // 2 - 1 < band:
         factor *= 2
@@ -595,27 +575,28 @@ def lp_norm(F: SpectralField, p: float) -> float:
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     if p == 2:
         return l2_norm(F)
-    blocks = (v for v, in oversampled_rows((F,)))
+    cols, factor = _occupied_columns(F)
+    blocks = functools.partial(_fine_rows, [cols], factor)  # a fresh pass per call
     if np.isinf(p):
-        return float(np.max([np.abs(v, out=v).max() for v in blocks]))
+        return float(np.max([np.abs(v, out=v).max() for v, in blocks()]))
     total = 0.0
     count = 0
     with np.errstate(over="ignore"):  # an overflow is taken up below
-        for v in blocks:
+        for v, in blocks():
             total += power_sum(v, p)
             count += v.size
     norm = lp_of_power_mean(total / count, p)
     if not 0.0 < norm < math.inf and F.coef.any():
-        top = lp_norm(F, np.inf)
-        total = sum(power_sum(v / top, p) for v, in oversampled_rows((F,)))
+        top = float(np.max([np.abs(v, out=v).max() for v, in blocks()]))
+        total = sum(power_sum(v / top, p) for v, in blocks())
         norm = top * lp_of_power_mean(total / count, p)
     return norm
 
 
 def vorticity_gradient_rows(w: SpectralField):
     """Row blocks (w, |grad u|^2) for the divergence-free u with curl u = w,
-    on the grid that w's band needs (module docstring), scratch as in
-    `oversampled_rows`.
+    on the grid that w's band needs (module docstring), in scratch that
+    the next block overwrites, as `_fine_rows` yields it.
 
     Three transforms, of w, d1u1 and the strain sigma = d1u2 + d2u1: in 2D
     d2u2 = -d1u1 and w = d1u2 - d2u1, so

@@ -1,7 +1,7 @@
 """Test oracles: the momentum/induction and flux forms of the tendency, the
-dilation `rescale`, and the `inverse`, `curl`, `divergence` and `dealias`
-they need; fields sampled from a function (`coordinates`,
-`from_function`).
+dilation `rescale`, and the `inverse`, `partial_derivative`, `curl`,
+`divergence` and `dealias` they need; fields sampled from a function
+(`coordinates`, `from_function`).
 The solver evolves only the vorticity-current form; no package module
 imports this file.  `classify_growth` and `hgamma_b_norm` wait here for
 the run summary of ROADMAP D4, their first caller."""
@@ -32,6 +32,17 @@ def from_function(grid, fn) -> sp.RealField:
 def inverse(F: SpectralField) -> sp.RealField:
     """Spectral coefficients -> physical samples (1/n^2 normalization)."""
     return sp.RealField(F.grid, sp.oversampled_values(F, 1))
+
+
+def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
+    """d/dx_axis via the multiplier i*xi_axis (axis is 1 or 2)."""
+    if axis == 1:
+        k = F.grid.kd1
+    elif axis == 2:
+        k = F.grid.kd2
+    else:
+        raise ValueError(f"axis must be 1 or 2, got {axis}")
+    return SpectralField(F.grid, 1j * k * F.coef)
 
 
 def curl(v1: SpectralField, v2: SpectralField) -> SpectralField:
@@ -122,7 +133,7 @@ def primitive_rhs(pstate: PrimitiveState, config: SolverConfig) -> PrimitiveStat
     d = {}
     for name, F in (("u1", pstate.u1), ("u2", pstate.u2), ("b1", pstate.b1), ("b2", pstate.b2)):
         for ax in (1, 2):
-            d[name, ax] = ir(sp.partial_derivative(F, ax))
+            d[name, ax] = ir(partial_derivative(F, ax))
 
     def advect(a1, a2, name):
         return a1 * d[name, 1] + a2 * d[name, 2]

@@ -93,18 +93,20 @@ class TestRatios:
 
     def test_commutator_ratio_of_anisotropic_fields(self):
         # f = cos x1 + cos 11 x2: (d1 f)^2 forms on the n grid, (d2 f)^2 on
-        # the 2n grid.  The 1e-14 mode of g lies below the active-band
-        # threshold and that of Lambda^2 g above it, so Lambda^2(fg) forms
-        # on the n grid and f Lambda^2 g on the 2n grid.  Each sum or
-        # difference is taken on the finer grid.
+        # the 2n grid, but f Lambda^2 f and f^2, whose sum gives |grad f|^2,
+        # share the 2n grid.  The 1e-14 mode of g lies below the
+        # active-band threshold, yet products read exact bands: with
+        # 11 + 5 > n/2 - 1, Lambda^2(fg) and f Lambda^2 g both form on the
+        # 2n grid.
         n = 32
         g = sp.TorusGrid(n)
         f = modes(g, (1.0, 1, 0), (1.0, 0, 11))
         h = modes(g, (1.0, 0, 1), (1e-14, 5, 0))
-        d1, d2 = (sp.partial_derivative(f, axis) for axis in (1, 2))
+        d1, d2 = (oracles.partial_derivative(f, axis) for axis in (1, 2))
         assert [sp.product(d1, d1).grid.n, sp.product(d2, d2).grid.n] == [n, 2 * n]
-        assert sp.product(f, h).grid.n == n
+        assert sp.product(f, h).grid.n == 2 * n
         assert sp.product(f, sp.fractional_laplacian(h, 1.0)).grid.n == 2 * n
+        assert sp.product(f, f).grid.n == sp.product(f, sp.fractional_laplacian(f, 1.0)).grid.n
         ratio = dg.commutator_ratio(f, h, 2.0, (4, 4, 4, 4))
         assert ratio == pytest.approx(_commutator_on_the_4n_grid(f, h, 2.0), rel=1e-13)
 
@@ -167,7 +169,7 @@ def _commutator_on_the_4n_grid(f, g, s):
     left = oracles.inverse(sp.fractional_laplacian(fg, s / 2)).values - fv * on_4n(
         sp.fractional_laplacian(g, s / 2)
     )
-    grad = np.sqrt(sum(on_4n(sp.partial_derivative(f, axis)) ** 2 for axis in (1, 2)))
+    grad = np.sqrt(sum(on_4n(oracles.partial_derivative(f, axis)) ** 2 for axis in (1, 2)))
     term1 = norm(grad, 4) * norm(on_4n(sp.fractional_laplacian(g, (s - 1) / 2)), 4)
     term2 = norm(on_4n(sp.fractional_laplacian(f, s / 2)), 4) * norm(gv, 4)
     return norm(left, 2) / (term1 + term2)
@@ -248,7 +250,8 @@ FLOAT_GUARDS = {
         lambda g, f, b, x: lp.bernstein_ratio(b, x, 1),
     ),
     "bernstein_ratio-k": (
-        "derivative order k must be finite", f"order k = 1e\\+300 at scale j = 2: .* {OVERFLOW}",
+        "derivative order k must be a nonnegative integer",
+        "derivative order k must be a nonnegative integer, got 1e\\+300",
         lambda g, f, b, x: lp.bernstein_ratio(b, 2, x),
     ),
     "besov_norm-s": (
@@ -281,6 +284,45 @@ def test_nan_fails_every_guard(guard, value, message):
         call(g, f, lp.dyadic_block(f, 2), value)
 
 
+# Integer arguments: each bad value with the message it must give.  The
+# calls take a band-5 field f at n = 32 and its dyadic block b at j = 2.
+INTEGER_GUARDS = {
+    "positivity_check-p": (
+        "p must be an even integer >= 2",
+        lambda f, b, x: dg.positivity_check(f, x, 0.5),
+        [2.0, 4.0, 3, 0, -2, np.float64(2.0)],
+    ),
+    "bernstein_ratio-k": (
+        "derivative order k must be a nonnegative integer",
+        lambda f, b, x: lp.bernstein_ratio(b, 2, x),
+        [1.5, 1.0, -1, np.int64(-1), np.float64(1.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "guard, value",
+    [
+        pytest.param(guard, value, id=f"{guard}-{type(value).__name__}-{value}")
+        for guard, (_, _, values) in INTEGER_GUARDS.items()
+        for value in values
+    ],
+)
+def test_integer_guards(guard, value):
+    message, call, _ = INTEGER_GUARDS[guard]
+    f = sp.random_band_field(sp.TorusGrid(32), np.random.default_rng(1), 5)
+    with pytest.raises(ValueError, match=message):
+        call(f, lp.dyadic_block(f, 2), value)
+
+
+def test_numpy_integers_pass_the_integer_guards():
+    g = sp.TorusGrid(32)
+    f = modes(g, (2.0, 0, 0), (1.0, 1, 0), (0.5, 0, 2))
+    assert dg.positivity_check(f, np.int64(4), 0.5) == dg.positivity_check(f, 4, 0.5)
+    b = lp.dyadic_block(sp.random_band_field(g, np.random.default_rng(1), 5), 2)
+    assert lp.bernstein_ratio(b, 2, np.int32(1)) == lp.bernstein_ratio(b, 2, 1)
+
+
 def test_a_huge_p_or_a_tiny_field_reads_no_zero_norm():
     # |f|^p under- or overflows; the norm is then taken relative to the
     # sampled sup, at most (2 pi)^(2/p) times it.
@@ -290,6 +332,14 @@ def test_a_huge_p_or_a_tiny_field_reads_no_zero_norm():
     for p in (1e300, 1e4):
         assert 0.0 < sp.lp_norm(f, p) <= (2 * math.pi) ** (2 / p) * top
     assert 0.0 < lp.besov_norm(f, lp.BesovSpec(0.5, 1e300, 2)) < math.inf
+    # A huge q, or tiny or huge terms: the l^q sum is taken relative to
+    # the largest term, so it lies between the l^inf value and 5^(1/q)
+    # times it (5 blocks at n = 32).
+    for scale, q in ((1e3, 400), (1.0, 400), (1.0, 1e300), (1e-200, 2), (1e200, 2)):
+        scaled = sp.SpectralField(g, scale * f.coef)
+        top = lp.besov_norm(scaled, lp.BesovSpec(0.5, 4, np.inf))
+        norm = lp.besov_norm(scaled, lp.BesovSpec(0.5, 4, q))
+        assert top <= norm <= 5 ** (1 / q) * top
     for scale in (1e-170, 1e200):
         scaled = sp.SpectralField(g, scale * f.coef)
         for p in (3, 4, 8):

@@ -86,7 +86,9 @@ class TestTorusGrid:
         u = sp.SpectralField.zeros(grid64)
         v = sp.SpectralField.zeros(other)
         with pytest.raises(sp.GridMismatchError):
-            next(sp.oversampled_rows((u, v)))
+            u + v
+        with pytest.raises(sp.GridMismatchError):
+            v - u
 
 
 class TestTransform:
@@ -190,18 +192,18 @@ class TestFractionalLaplacian:
 class TestDerivatives:
     def test_d1_of_sin_x1(self, grid64):
         F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(x1)))
-        d = oracles.inverse(sp.partial_derivative(F, 1))
+        d = oracles.inverse(oracles.partial_derivative(F, 1))
         x1, _ = oracles.coordinates(grid64)
         assert np.max(np.abs(d.values - np.cos(x1))) < 1e-12
 
     def test_d2_of_sin_x1_vanishes(self, grid64):
         F = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.sin(x1)))
-        d = oracles.inverse(sp.partial_derivative(F, 2))
+        d = oracles.inverse(oracles.partial_derivative(F, 2))
         assert np.max(np.abs(d.values)) < 1e-12
 
     def test_bad_axis_rejected(self, grid64):
         with pytest.raises(ValueError):
-            sp.partial_derivative(sp.SpectralField.zeros(grid64), 3)
+            oracles.partial_derivative(sp.SpectralField.zeros(grid64), 3)
 
 
 class TestBiotSavart:
@@ -234,7 +236,7 @@ class TestBiotSavart:
         w = sp.random_band_field(grid64, rng, band=20, amplitude=3.0)
         u1, u2 = sp.biot_savart(w)
         grad_sq = sum(
-            sp.l2_norm_sq(sp.partial_derivative(c, ax)) for c in (u1, u2) for ax in (1, 2)
+            sp.l2_norm_sq(oracles.partial_derivative(c, ax)) for c in (u1, u2) for ax in (1, 2)
         )
         assert abs(grad_sq - sp.l2_norm_sq(w)) / sp.l2_norm_sq(w) < 1e-13
 
@@ -511,21 +513,24 @@ class TestRowBlocks:
         }[kind]()
         G = sp.random_band_field(g, rng, band=3)
         factor = max(oracles.sampling_factor(H) for H in (F, G))  # the widest band's
-        blocks = [[v.copy() for v in vals] for vals in sp.oversampled_rows((F, G))]
+        leading = [sp._occupied_columns(H, factor)[0] for H in (F, G)]
+        blocks = [[v.copy() for v in vals] for vals in sp._fine_rows(leading, factor)]
         for i, H in enumerate((F, G)):
             rows = np.concatenate([b[i] for b in blocks])
             assert np.array_equal(rows, sp.oversampled_values(H, factor))
 
     def test_buffers_are_reused(self, grid64):
         F = sp.random_band_field(grid64, np.random.default_rng(3), band=9)
-        seen = {id(vals[0]) for vals in sp.oversampled_rows((F,))}
+        cols, factor = sp._occupied_columns(F)
+        assert factor * 64 > sp.ROW_BLOCK  # more than one block
+        seen = {id(vals[0]) for vals in sp._fine_rows([cols], factor)}
         assert len(seen) == 1
 
     def test_nyquist_content_rejected(self, grid64):
         coef = np.zeros((64, 64), dtype=np.complex128)
         coef[32, 0] = 1.0
         with pytest.raises(ValueError, match="Nyquist"):
-            next(sp.oversampled_rows((sp.SpectralField(grid64, coef),)))
+            sp.lp_norm(sp.SpectralField(grid64, coef), 4)
 
     def test_dealiased_field_skips_the_active_band_scan(self, grid64, monkeypatch):
         # A dealiased field is Nyquist-free by its coefficients alone.
@@ -682,8 +687,29 @@ class TestProduct:
     def test_grid_follows_the_band_sum(self, bands, factor):
         g = sp.TorusGrid(32)
         fields = [_band_field(g, b, seed) for seed, b in enumerate(bands)]
-        assert [sp.active_band(F) for F in fields] == list(bands)
+        assert [oracles.band(F) for F in fields] == list(bands)
         assert sp.product(*fields).grid.n == factor * 32
+
+    def test_exact_below_the_active_threshold(self):
+        # f = cos x1 + 9e-14 cos 9x1 and h = cos x2: the 9e-14 mode lies
+        # below the active threshold, and the product keeps it all the
+        # same.  cos a cos b = (cos(a + b) + cos(a - b))/2.
+        n = 32
+        g = sp.TorusGrid(n)
+
+        def cosines(*terms):
+            coef = np.zeros((n, n), dtype=np.complex128)
+            for a, k1, k2 in terms:
+                coef[k1, k2] += 0.5 * a * n**2
+                coef[-k1, -k2] += 0.5 * a * n**2
+            return sp.SpectralField(g, coef)
+
+        f = cosines((1.0, 1, 0), (9e-14, 9, 0))
+        assert sp.active_band(f) == 1
+        P = sp.product(f, cosines((1.0, 0, 1)))
+        expect = cosines((0.5, 1, 1), (0.5, 1, -1), (4.5e-14, 9, 1), (4.5e-14, 9, -1)).coef
+        assert P.grid is g
+        assert np.max(np.abs(P.coef - expect)) <= 1e-15 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("bands", [(3,), (3, 4), (7, 8), (8, 8), (5, 5, 6), (15, 15), (15, 15, 2)])
     def test_matches_the_four_times_grid(self, bands):
@@ -693,7 +719,7 @@ class TestProduct:
         n = 32
         g = sp.TorusGrid(n)
         fields = [_band_field(g, b, 10 + seed) for seed, b in enumerate(bands)]
-        fields.append(sp.partial_derivative(fields[0], 1))
+        fields.append(oracles.partial_derivative(fields[0], 1))
         mean = fields[-1].coef.copy()
         mean[0, 0] = 0.7 * n**2
         fields.append(sp.SpectralField(g, mean))
@@ -705,7 +731,7 @@ class TestProduct:
         restricted = ref.coef[np.ix_(k % (4 * n), k % (4 * n))] * (m / (4 * n)) ** 2
         scale = np.max(np.abs(restricted))
         assert np.max(np.abs(P.coef - restricted)) <= 1e-14 * scale
-        band = sum(sp.active_band(F) for F in fields)
+        band = sum(oracles.band(F) for F in fields)
         assert m // 2 - 1 >= band > m // 4 - 1 or m == n
         outside = np.maximum(np.abs(P.grid.k1), np.abs(P.grid.k2)) > band
         assert not P.coef[outside].any()
@@ -728,24 +754,16 @@ class TestProduct:
 
 
 class TestSum:
-    """Fields add and subtract as trigonometric polynomials, on the finer
-    grid of the two."""
+    """Fields add and subtract on one grid only
+    (`TestTorusGrid::test_grid_mismatch_rejected`)."""
 
-    def test_fields_on_different_grids(self):
-        g, fine = sp.TorusGrid(32), sp.TorusGrid(64)
-        F, G = _band_field(g, 15, 1), _band_field(fine, 20, 2)
-        for total, sign in ((F + G, 1.0), (F - G, -1.0), (G + F, 1.0)):
-            assert total.grid is fine
-            expect = sp.oversampled_values(F, 2) + sign * sp.oversampled_values(G, 1)
-            assert np.max(np.abs(sp.oversampled_values(total, 1) - expect)) <= 1e-14 * np.max(np.abs(expect))
-        assert np.array_equal((F + F).coef, 2.0 * F.coef)
+    def test_sum_and_difference_on_one_grid(self):
+        g = sp.TorusGrid(32)
+        F, G = _band_field(g, 15, 1), _band_field(g, 9, 2)
+        assert (F + G).grid is g
+        assert np.array_equal((F + G).coef, F.coef + G.coef)
+        assert np.array_equal((F - G).coef, F.coef - G.coef)
         assert not (F - F).coef.any()
-
-    def test_nyquist_content_rejected(self):
-        coef = np.zeros((32, 32), dtype=np.complex128)
-        coef[16, 0] = 1.0
-        with pytest.raises(ValueError, match="Nyquist"):
-            sp.SpectralField(sp.TorusGrid(32), coef) + _band_field(sp.TorusGrid(64), 3, 0)
 
 
 def _traced_peak(fn):
@@ -777,6 +795,28 @@ class TestActiveBand:
         for F in fields:
             assert sp.active_band(F) == self.brute_force(F)
         assert sp.active_band(fields[-1]) == max(n // 4, 3)
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_support_band_matches_brute_force(self, n):
+        # `_support` reads the half spectrum of a Hermitian field.
+        g = sp.TorusGrid(n)
+        rng = np.random.default_rng(n)
+        fields = [sp.random_band_field(g, rng, band=b) for b in (1, 2, n // 3, n // 2 - 1)]
+        fields.append(sp.SpectralField.zeros(g))
+        for k1, k2 in ((0, -3), (-3, 0), (-n // 2, 1), (2, -n // 2), (-1, -1), (-n // 4, 3)):
+            coef = np.zeros((n, n), dtype=np.complex128)
+            coef[k1, k2] = coef[-k1, -k2] = 1e-300
+            fields.append(sp.SpectralField(g, coef))
+        for F in fields:
+            assert sp._support(F)[1] == oracles.band(F)
+
+    def test_support_counts_every_nonzero_coefficient(self, grid64):
+        # A spectrum made by `forward` carries round-off in every mode:
+        # its active band is the field's, its exact band is full.
+        f = sp.random_band_field(grid64, np.random.default_rng(7), band=8)
+        round_trip = sp.forward(oracles.inverse(f))
+        assert sp.active_band(round_trip) == sp._support(f)[1] == 8
+        assert sp._support(round_trip)[1] == oracles.band(round_trip) == 32
 
 
 def _names(node):
@@ -831,6 +871,22 @@ def test_diagnostics_build_no_fine_grid():
     ]
     assert "product" in grids
     assert _package_scopes_where(lambda node: "_oversample_factor_for" in _names(node)) == {}
+
+
+def test_checks_alone_read_the_active_spectrum():
+    """Grids read the exact support (`_support`); only input checks read
+    the active threshold: the Nyquist check of `_occupied_columns`, the
+    commutator's band guard and `bernstein_ratio`'s support test."""
+    readers = _package_scopes_where(
+        lambda node: isinstance(node, (ast.Name, ast.Attribute))
+        and _names(node) & {"active_band", "active_modes"}
+    )
+    assert {scope: set(names) for scope, names in readers.items()} == {
+        "active_band": {"spectral.py"},
+        "_occupied_columns": {"spectral.py"},
+        "commutator_ratio": {"diagnostics.py"},
+        "bernstein_ratio": {"littlewood_paley.py"},
+    }
 
 
 def test_package_holds_only_what_is_called():

@@ -15,6 +15,12 @@ exactly zero, and is not transformed: `nonzero_blocks` marks it, and
 `besov_norm`, `bony_decompose` and `log_inequality_ratio` put its known
 result (a term 0.0, a zero array, a block sup 0.0) in its place, so
 every sum is formed in the same order as over all blocks.
+
+The paraproduct blocks of f and g sample on the grid that the sum B of
+their exact bands needs, by `spectral.product`'s rule capped at 2n, one
+`_fine_rows` pass per field.  The parts are returned on the 2n grid: when
+B <= n/2 - 1 they form on the n grid and their exact spectra are sampled
+there, equal to products formed on the 2n grid to round-off.
 """
 
 from __future__ import annotations
@@ -144,33 +150,27 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
 # --- paraproducts ------------------------------------------------------------
 
 
-def bony_decompose(f: SpectralField, g: SpectralField):
-    """Low-high, high-high, and high-low parts of the product fg:
+def _block_samples(h: SpectralField, factor: int) -> list[np.ndarray | None]:
+    """h's dyadic blocks sampled on the factor-times finer grid in one
+    `_fine_rows` pass, with None for each empty block.  The Nyquist check
+    runs on h: a multiplier with values in [0, 1] lifts no coefficient of
+    a block above h's round-off."""
+    sp._occupied_columns(h, factor)  # the Nyquist check
+    blocks = nonzero_blocks(h)
+    leading = [sp._support(b)[0] for b in blocks if b is not None]
+    filled = iter(sp._fine_arrays(leading, factor) if leading else [])
+    return [None if b is None else next(filled) for b in blocks]
 
-        fg = T(f,g) + R(f,g) + T(g,f)
-        T(f,g) = sum_j S_{j-1} f block_j g,
-        R(f,g) = sum_{|i|<=1} sum_j block_j f block_{j+i} g
 
-    with S_{j-1} = sum_{l <= j-2} block_l.  This is the convention
-    S_j = sum_{l <= j-1} block_l of Bahouri, Chemin and Danchin, Fourier
-    Analysis and Nonlinear PDEs (Springer 2011), section 2.2; the paper's
-    abstract in PAPER.md does not settle it.  All block products are
-    formed on a 2x padded grid so the three parts (and their sum) are
-    alias-free; the returned RealFields live on that padded grid.
-    """
-    sp._check_same_grid(f, g)
-    for name, F in (("f", f), ("g", g)):
-        if not F.is_zero_mean():
-            raise sp.MeanModeError(f"{name} must be zero-mean for the paraproduct split")
-    fine = sp.TorusGrid(2 * f.grid.n)
+def _paraproducts(f: SpectralField, g: SpectralField, factor: int) -> list[np.ndarray]:
+    """T(f,g), R(f,g) and T(g,f) sampled on the factor-times finer grid,
+    from the blocks' samples there."""
+    m = factor * f.grid.n
     # None marks an empty block, whose terms add exactly 0.0 and are skipped.
-    f_blocks, g_blocks = (
-        [None if b is None else sp.oversampled_values(b, 2) for b in nonzero_blocks(h)]
-        for h in (f, g)
-    )
+    f_blocks, g_blocks = (_block_samples(h, factor) for h in (f, g))
 
     def paraproduct(lows, highs):
-        acc = np.zeros((fine.n, fine.n))
+        acc = np.zeros((m, m))
         running = np.zeros_like(acc)
         for idx, high in enumerate(highs):
             # running holds sum_{l <= j-2} at the time block j is consumed
@@ -187,11 +187,41 @@ def bony_decompose(f: SpectralField, g: SpectralField):
         for gb in g_blocks[max(a - 1, 0) : a + 2]:
             if fa is not None and gb is not None:
                 r_fg += fa * gb
-    return (
-        sp.RealField(fine, t_fg),
-        sp.RealField(fine, r_fg),
-        sp.RealField(fine, t_gf),
-    )
+    return [t_fg, r_fg, t_gf]
+
+
+def bony_decompose(f: SpectralField, g: SpectralField):
+    """Low-high, high-high, and high-low parts of the product fg:
+
+        fg = T(f,g) + R(f,g) + T(g,f)
+        T(f,g) = sum_j S_{j-1} f block_j g,
+        R(f,g) = sum_{|i|<=1} sum_j block_j f block_{j+i} g
+
+    with S_{j-1} = sum_{l <= j-2} block_l.  This is the convention
+    S_j = sum_{l <= j-1} block_l of Bahouri, Chemin and Danchin, Fourier
+    Analysis and Nonlinear PDEs (Springer 2011), section 2.2; the paper's
+    abstract in PAPER.md does not settle it.
+
+    The returned RealFields live on the 2n grid.  The block products form
+    on the grid that the sum B of the fields' exact bands needs, by
+    `product`'s rule, capped at 2n: on the 2n grid every part's samples
+    are exact pointwise products whatever B is.  Below that cap (B <=
+    n/2 - 1, so on the n grid) each part's exact spectrum, zero beyond B,
+    is sampled on the 2n grid, and the values agree with products formed
+    on the 2n grid to round-off.
+    """
+    sp._check_same_grid(f, g)
+    for name, F in (("f", f), ("g", g)):
+        if not F.is_zero_mean():
+            raise sp.MeanModeError(f"{name} must be zero-mean for the paraproduct split")
+    n = f.grid.n
+    band = sp._support(f)[1] + sp._support(g)[1]
+    factor = min(sp._product_factor(n, band), 2)
+    parts = _paraproducts(f, g, factor)
+    if factor == 1:
+        parts = sp._fine_arrays([sp._band_columns(part, band) for part in parts], 2)
+    fine = sp.TorusGrid(2 * n)
+    return tuple(sp.RealField(fine, part) for part in parts)
 
 
 def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, sigma2: float) -> float:

@@ -44,17 +44,22 @@ Conventions used throughout the package:
   `_fine_rows`.
 * Row blocks.  `_fine_rows` runs the real pass gcd(ROW_BLOCK, m) rows of
   an m-row grid at a time, from a zero-tailed half spectrum per field.
-  `oversampled_values` (so `product`, the paraproduct blocks and the
-  positivity guard) writes the blocks into one whole array at the factor
-  its caller gives.  A sup or L^p (p != 2) norm needs only a max or a
-  sum: `lp_norm` and `vorticity_gradient_rows` (the one source of w and
-  |grad u|^2 on a grid) take each block from `_fine_rows` in scratch
-  that the next block overwrites, and reduce it as it comes.
+  `_fine_arrays` writes the blocks into whole arrays at the factor its
+  caller gives, for `oversampled_values` (so `product` and the
+  positivity guard) and `bony_decompose`.  A sup or L^p (p != 2) norm
+  needs only a max or a sum: `lp_norm` and `vorticity_gradient_rows` (the
+  one source of w and |grad u|^2 on a grid) take each block from
+  `_fine_rows` in scratch that the next block overwrites, and reduce it
+  as it comes.
 * Products.  `product` samples fields of bands summing to B on the grid
-  of the smallest power-of-two factor f >= 1 with f n/2 - 1 >= B.  No
-  mode of the product has a component beyond B <= m/2 - 1 on that
-  m = f n grid, so none wraps onto another: the transform of the sampled
-  product is its exact spectrum.  Sums form on one grid only.
+  of the smallest power-of-two factor f >= 1 with f n/2 - 1 >= B
+  (`_product_factor`).  No mode of the product has a component beyond
+  B <= m/2 - 1 on that m = f n grid, so none wraps onto another: the
+  transform of the sampled product is its exact spectrum
+  (`_band_columns`).  `littlewood_paley.bony_decompose` forms its block
+  products by the same rule, capped at f = 2: its parts live on the 2n
+  grid, where their samples are exact pointwise products whatever B is.
+  Sums form on one grid only.
 * The grid follows the band.  A field's band B is the largest |xi_1| or
   |xi_2| of an exactly nonzero coefficient, read by `_support`.  A sup or
   L^p (p != 2) norm samples it on the grid of the smallest power of two
@@ -168,10 +173,11 @@ class TorusGrid:
     """Collocation grid and integer wavenumber lattice on [0, 2*pi)^2.
 
     n must be a power of two, n >= 8.  One grid per n for the life of the
-    process: TorusGrid(n) builds the lattice once and returns that grid
-    ever after, so identity is equality, and every cache of lattice data
-    keys on the grid itself.  A grid takes 57 n^2 bytes (3.6 MiB at
-    n = 256).
+    process: TorusGrid(n) builds a grid once and returns it ever after, so
+    identity is equality, and every cache of lattice data keys on the grid
+    itself.  `k` holds the n integer wavenumbers in FFT order; each
+    lattice array is built on first read, so a grid that only carries
+    samples (the 2n grid of `bony_decompose`'s parts) costs no lattice.
     """
 
     _live = {}
@@ -183,25 +189,53 @@ class TorusGrid:
             return grid
         grid = super().__new__(cls)
         grid.n = n
-        k = np.fft.fftfreq(n, 1.0 / n)  # exact integers as floats
-        grid.k1, grid.k2 = (_frozen(a) for a in np.meshgrid(k, k, indexing="ij"))
-        grid.ksq = _frozen(grid.k1**2 + grid.k2**2)
-        grid.kmag = _frozen(np.sqrt(grid.ksq))
-        inv = np.zeros_like(grid.ksq)
-        inv[grid.ksq > 0] = 1.0 / grid.ksq[grid.ksq > 0]
-        grid.inv_ksq = _frozen(inv)
-        # Odd-order multipliers annihilate the Nyquist line so that they
-        # map Hermitian-symmetric arrays to Hermitian-symmetric arrays.
-        kd = k.copy()
-        kd[n // 2] = 0.0
-        grid.kd1, grid.kd2 = (_frozen(a) for a in np.meshgrid(kd, kd, indexing="ij"))
+        grid.k = _frozen(np.fft.fftfreq(n, 1.0 / n))  # exact integers as floats
         grid.dealias_cutoff = n // 3
-        grid.dealias_mask = _frozen(
-            (np.abs(grid.k1) <= grid.dealias_cutoff)
-            & (np.abs(grid.k2) <= grid.dealias_cutoff)
-        )
         cls._live[n] = grid
         return grid
+
+    @functools.cached_property
+    def k1(self) -> np.ndarray:
+        """xi_1 on the lattice (array axis 0)."""
+        return _frozen(np.broadcast_to(self.k[:, None], (self.n, self.n)))
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        """xi_2 on the lattice (array axis 1)."""
+        return _frozen(np.broadcast_to(self.k, (self.n, self.n)))
+
+    @functools.cached_property
+    def ksq(self) -> np.ndarray:
+        return _frozen(self.k1**2 + self.k2**2)
+
+    @functools.cached_property
+    def kmag(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.ksq))
+
+    @functools.cached_property
+    def inv_ksq(self) -> np.ndarray:
+        """1/|xi|^2, and 0 at xi = 0."""
+        inv = np.zeros_like(self.ksq)
+        inv[self.ksq > 0] = 1.0 / self.ksq[self.ksq > 0]
+        return _frozen(inv)
+
+    # Odd-order multipliers annihilate the Nyquist line so that they map
+    # Hermitian-symmetric arrays to Hermitian-symmetric arrays.
+    @functools.cached_property
+    def kd1(self) -> np.ndarray:
+        """xi_1 with the Nyquist row zeroed."""
+        return _frozen(np.where(np.abs(self.k1) == self.n // 2, 0.0, self.k1))
+
+    @functools.cached_property
+    def kd2(self) -> np.ndarray:
+        """xi_2 with the Nyquist column zeroed."""
+        return _frozen(np.where(np.abs(self.k2) == self.n // 2, 0.0, self.k2))
+
+    @functools.cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """max(|xi_1|, |xi_2|) <= dealias_cutoff on the lattice."""
+        keep = np.abs(self.k) <= self.dealias_cutoff
+        return _frozen(keep[:, None] & keep)
 
     def __reduce__(self):
         # A copy or an unpickled grid is the one grid of its n.
@@ -451,19 +485,25 @@ def active_band(F: SpectralField) -> int:
     """Largest max(|xi_1|, |xi_2|) over the `active_modes` of F (0 if the
     field is zero)."""
     active = active_modes(F)
-    k = np.abs(F.grid.k1[:, 0])  # |xi_1| by row, and |xi_2| by column
+    k = np.abs(F.grid.k)  # |xi_1| by row, and |xi_2| by column
     return int(max(k[active.any(axis=1)].max(initial=0), k[active.any(axis=0)].max(initial=0)))
 
 
 def _support(F: SpectralField):
     """F's leading half-spectrum columns up to the last nonzero one, all n
     rows (a view), and F's band (module docstring; 0 for the zero field),
-    from the columns' width and the rows they occupy."""
+    from the columns' width and the rows they occupy.
+
+    A Hermitian spectrum with a zero half spectrum is zero, so a nonzero
+    one raises ValueError: every sampler reads the half spectrum alone and
+    would take it for the zero field."""
     n = F.grid.n
     occupied = np.flatnonzero(F.coef[:, : n // 2 + 1].any(axis=0))
+    if not occupied.size and F.coef.any():
+        raise ValueError("spectrum is not Hermitian: its half spectrum is zero, the rest is not")
     width = int(occupied[-1]) + 1 if occupied.size else 1
     cols = F.coef[:, :width]
-    rows = np.abs(F.grid.k1[:, 0])[cols.any(axis=1)]  # |xi_1| of each occupied row
+    rows = np.abs(F.grid.k)[cols.any(axis=1)]  # |xi_1| of each occupied row
     return cols, max(width - 1, int(rows.max(initial=0)))
 
 
@@ -490,9 +530,15 @@ def oversampled_values(F: SpectralField, factor: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a factor-times finer grid;
     factor 1 gives the collocation samples.  The whole (factor*n)^2
     array: sup and L^p reductions stream `_fine_rows` instead."""
-    m = factor * F.grid.n
-    values = np.empty((m, m))
-    for _ in _fine_rows([_occupied_columns(F, factor)[0]], factor, out=[values]):
+    return _fine_arrays([_occupied_columns(F, factor)[0]], factor)[0]
+
+
+def _fine_arrays(leading, factor):
+    """Whole (m, m) arrays of the values of the fields with leading
+    columns `leading` on the m = factor*n grid, one `_fine_rows` pass."""
+    m = factor * leading[0].shape[0]
+    values = [np.empty((m, m)) for _ in leading]
+    for _ in _fine_rows(leading, factor, out=values):
         pass
     return values
 
@@ -527,6 +573,26 @@ def _fine_rows(leading, factor, out=None):
         yield dests
 
 
+def _product_factor(n: int, band: int) -> int:
+    """The smallest power of two f >= 1 with f n/2 - 1 >= band: on that
+    grid a product of fields of n-grid spectra whose bands sum to `band`
+    is alias-free (module docstring)."""
+    factor = 1
+    while factor * n // 2 - 1 < band:
+        factor *= 2
+    return factor
+
+
+def _band_columns(values: np.ndarray, band: int) -> np.ndarray:
+    """The leading band + 1 half-spectrum columns of the (m, m) samples
+    `values` of a trigonometric polynomial of band <= m/2 - 1: its exact
+    spectrum, with the transform's round-off beyond the band zeroed."""
+    m = values.shape[0]
+    cols = _forward_columns(values, band + 1)
+    cols[band + 1 : m - band] = 0.0
+    return cols
+
+
 def product(*fields: SpectralField) -> SpectralField:
     """The exact spectrum of the pointwise product of the fields, on the
     grid the sum of their exact bands needs (module docstring); zero
@@ -534,16 +600,12 @@ def product(*fields: SpectralField) -> SpectralField:
     _check_same_grid(*fields)
     n = fields[0].grid.n
     band = sum(_support(F)[1] for F in fields)
-    factor = 1
-    while factor * n // 2 - 1 < band:
-        factor *= 2
+    factor = _product_factor(n, band)
     m = factor * n
     unique = {id(F): F for F in fields}  # a field given more than once is evaluated once
     samples = {key: oversampled_values(F, factor) for key, F in unique.items()}
     values = functools.reduce(np.multiply, (samples[id(F)] for F in fields))
-    cols = _forward_columns(values, band + 1)
-    cols[band + 1 : m - band] = 0.0  # round-off beyond the band
-    return SpectralField(TorusGrid(m), _hermitian_extend(cols, m))
+    return SpectralField(TorusGrid(m), _hermitian_extend(_band_columns(values, band), m))
 
 
 def lp_of_power_mean(mean: float, p: float) -> float:

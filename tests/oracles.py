@@ -1,7 +1,8 @@
 """Test oracles: the momentum/induction and flux forms of the tendency, the
 dilation `rescale`, and the `inverse`, `partial_derivative`, `curl`,
 `divergence` and `dealias` they need; fields sampled from a function
-(`coordinates`, `from_function`).
+(`coordinates`, `from_function`); the traced peak of a call
+(`traced_peak`).
 The solver evolves only the vorticity-current form; no package module
 imports this file.  `classify_growth` and `hgamma_b_norm` wait here for
 the run summary of ROADMAP D4, their first caller."""
@@ -9,6 +10,7 @@ the run summary of ROADMAP D4, their first caller."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,16 @@ import numpy as np
 from mhd2d import spectral as sp
 from mhd2d.dynamics import MHDState, SimulationAbort, SolverConfig
 from mhd2d.spectral import SpectralField
+
+
+def traced_peak(fn):
+    """Peak bytes allocated (tracemalloc) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def coordinates(grid):

@@ -368,8 +368,16 @@ def _besov_oracle(f, spec, part):
     return float((terms**spec.q).sum() ** (1.0 / spec.q))
 
 
-def _bony_oracle(f, g, part):
-    fb, gb = ([sp.oversampled_values(b, 2) for b in _all_blocks(h, part)] for h in (f, g))
+def _bony_oracle(f, g, part, factor=None):
+    """Bony's parts from all blocks, formed on the factor-times finer grid:
+    by default the grid `bony_decompose`'s rule picks, n for a band sum
+    B <= n/2 - 1 and 2n above; on the n grid each part's spectrum, zeroed
+    beyond B, is then sampled on the 2n grid with numpy's 2D transforms."""
+    n = f.grid.n
+    band = oracles.band(f) + oracles.band(g)
+    if factor is None:
+        factor = 1 if band <= n // 2 - 1 else 2
+    fb, gb = ([sp.oversampled_values(b, factor) for b in _all_blocks(h, part)] for h in (f, g))
     count = len(fb)
 
     def paraproduct(lows, highs):
@@ -386,7 +394,18 @@ def _bony_oracle(f, g, part):
         for b in (a - 1, a, a + 1):
             if 0 <= b < count:
                 r_fg += fb[a] * gb[b]
-    return paraproduct(fb, gb), r_fg, paraproduct(gb, fb)
+    parts = [paraproduct(fb, gb), r_fg, paraproduct(gb, fb)]
+    if factor == 2:
+        return parts
+    lifted = []
+    for values in parts:
+        spec = np.fft.rfft2(values)[:, : band + 1]
+        spec[band + 1 : n - band] = 0.0
+        half = np.zeros((2 * n, n + 1), dtype=np.complex128)
+        half[: n // 2, : band + 1] = 4.0 * spec[: n // 2]
+        half[-n // 2 :, : band + 1] = 4.0 * spec[n // 2 :]
+        lifted.append(np.fft.irfft2(half, s=(2 * n, 2 * n)))
+    return lifted
 
 
 def _counting(real, log):
@@ -458,4 +477,68 @@ class TestZeroBlocks:
         assert sum(rows) == 4 * m
         rows.clear()
         lp.bony_decompose(f, f)
-        assert sum(rows) == 2 * 4 * 2 * grid.n  # 4 blocks of each factor on the 2x grid
+        # 4 blocks of each factor on the n grid (8 + 8 <= n/2 - 1), then
+        # the 3 parts on the 2n grid.
+        assert sum(rows) == 2 * 4 * m + 3 * 2 * m
+
+
+class TestBonyGrid:
+    """`bony_decompose` forms its parts on the grid the fields' band sum
+    needs, at most 2n, and returns them on the 2n grid."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_band8_parts_match_the_2n_grid(self, grid, part, seed):
+        # 8 + 8 <= n/2 - 1: the parts form on the n grid.
+        f = band_field(grid, seed=100 + seed, band=8)
+        g = band_field(grid, seed=110 + seed, band=8)
+        for got, want in zip(lp.bony_decompose(f, g), _bony_oracle(f, g, part, factor=2)):
+            assert got.grid.n == 2 * grid.n
+            assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("band", [40, 63])
+    def test_wide_bands_keep_the_2n_grid(self, grid, part, band):
+        # 2 band > n/2 - 1: the parts form on the 2n grid as before.
+        f = band_field(grid, seed=120, band=band)
+        g = band_field(grid, seed=121, band=band)
+        for got, want in zip(lp.bony_decompose(f, g), _bony_oracle(f, g, part, factor=2)):
+            assert np.array_equal(got.values, want)
+
+    def test_round_trip_fields_sample_at_2n_never_4n(self, grid, monkeypatch):
+        # A spectrum made by `forward` carries round-off in every mode, so
+        # its exact band is n/2 and a pair's band sum n needs the 4n grid
+        # by `product`'s rule; Bony caps it at 2n.
+        f, g = (
+            sp.forward(oracles.inverse(band_field(grid, seed=s, band=8))) for s in (130, 131)
+        )
+        band = sp._support(f)[1] + sp._support(g)[1]
+        assert band == grid.n and sp._product_factor(grid.n, band) == 4
+        factors = []
+        real = sp._fine_rows
+
+        def spy(leading, factor, out=None):
+            factors.append(factor)
+            return real(leading, factor, out)
+
+        monkeypatch.setattr(sp, "_fine_rows", spy)
+        parts = lp.bony_decompose(f, g)
+        assert factors == [2, 2]
+        monkeypatch.undo()
+        direct = sp.oversampled_values(f, 2) * sp.oversampled_values(g, 2)
+        total = sum(p.values for p in parts)
+        assert np.max(np.abs(total - direct)) < 1e-12 * np.max(np.abs(direct))
+
+    def test_the_2n_grid_of_the_parts_builds_no_lattice(self, monkeypatch):
+        monkeypatch.setattr(sp.TorusGrid, "_live", {})
+        g = sp.TorusGrid(32)
+        f, h = (band_field(g, seed=s, band=3) for s in (140, 141))
+        lp.bony_decompose(f, h)
+        lattice = {"k1", "k2", "ksq", "kmag", "inv_ksq", "kd1", "kd2", "dealias_mask"}
+        assert lattice & vars(sp.TorusGrid(64)).keys() == set()
+
+    def test_band8_split_peaks_below_its_blocks_on_the_2n_grid(self, grid):
+        # The 2n-grid samples of the 8 nonzero blocks of two band-8 fields
+        # alone take 8 (2n)^2 float64s, 4 MiB at n = 128.
+        f, g = (band_field(grid, seed=s, band=8) for s in (150, 151))
+        lp.bony_decompose(f, g)  # the partition and both grids, once
+        peak = oracles.traced_peak(lambda: lp.bony_decompose(f, g))
+        assert peak < 8 * (2 * grid.n) ** 2 * 8

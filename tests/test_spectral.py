@@ -5,7 +5,6 @@ import dataclasses
 import math
 import pickle
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ def grid64():
 @pytest.fixture
 def grid_calls(monkeypatch):
     """(n, built) for every TorusGrid(n) call while the test runs; built
-    is True when the call had to build the lattice."""
+    is True when the call had to build the grid."""
     calls = []
     new = sp.TorusGrid.__new__
 
@@ -560,20 +559,20 @@ class TestRowBlocks:
         cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=256, dt=1e-3, t_end=0.0)
         state = dyn.make_initial(sp.TorusGrid(256), "random-band", band=40)
         dg.compute_record(state, cfg)
-        assert _traced_peak(lambda: dg.compute_record(state, cfg)) < 16 * 2**20
+        assert oracles.traced_peak(lambda: dg.compute_record(state, cfg)) < 16 * 2**20
 
     def test_oversampled_values_peak_memory(self):
         # The 512 x 512 output takes 2 MB; a fresh zero-tailed half
         # spectrum for the real pass would add 2 MB more.
         F = sp.random_band_field(sp.TorusGrid(256), np.random.default_rng(4), band=8)
         sp.oversampled_values(F, 2)
-        assert _traced_peak(lambda: sp.oversampled_values(F, 2)) < 3 * 2**20
+        assert oracles.traced_peak(lambda: sp.oversampled_values(F, 2)) < 3 * 2**20
 
     def test_lp_norm_peak_memory(self):
         # One whole 512 x 512 fine-grid array takes 2 MB.
         F = sp.random_band_field(sp.TorusGrid(128), np.random.default_rng(2), band=40)
         sp.lp_norm(F, 4)
-        assert _traced_peak(lambda: sp.lp_norm(F, 4)) < 2 * 2**20
+        assert oracles.traced_peak(lambda: sp.lp_norm(F, 4)) < 2 * 2**20
 
 
 def _grid_sups(w, factor):
@@ -766,16 +765,6 @@ class TestSum:
         assert not (F - F).coef.any()
 
 
-def _traced_peak(fn):
-    """Peak bytes allocated (tracemalloc) while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestActiveBand:
     @staticmethod
     def brute_force(F):
@@ -817,6 +806,19 @@ class TestActiveBand:
         round_trip = sp.forward(oracles.inverse(f))
         assert sp.active_band(round_trip) == sp._support(f)[1] == 8
         assert sp._support(round_trip)[1] == oracles.band(round_trip) == 32
+
+    def test_a_nonzero_spectrum_with_a_zero_half_spectrum_is_refused(self):
+        # coef[0, -3] alone: no Hermitian field, and every sampler reads
+        # the half spectrum alone, which would sample it as zero.
+        g = sp.TorusGrid(32)
+        coef = np.zeros((32, 32), dtype=np.complex128)
+        coef[0, -3] = 32**2
+        F = sp.SpectralField(g, coef)
+        for p in (4, np.inf):
+            with pytest.raises(ValueError, match="half spectrum is zero"):
+                sp.lp_norm(F, p)
+        with pytest.raises(ValueError, match="half spectrum is zero"):
+            sp.product(F, _band_field(g, 3, 0))
 
 
 def _names(node):

@@ -111,8 +111,7 @@ class BesovSpec:
 
 
 def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
-    """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}; relative to the
-    largest term where the plain l^q sum over- or underflows."""
+    """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}."""
     if not f.is_zero_mean():
         raise sp.MeanModeError("homogeneous Besov norm needs a zero-mean field")
     if spec.s > 0:
@@ -122,14 +121,7 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
         2.0 ** (j * spec.s) * (0.0 if block is None else sp.lp_norm(block, spec.p))
         for j, block in enumerate(nonzero_blocks(f))
     ])
-    if np.isinf(spec.q):
-        return float(terms.max())
-    with np.errstate(over="ignore"):  # an overflow is taken up below
-        total = (terms**spec.q).sum()
-    if not 0.0 < total < math.inf and terms.any():
-        top = terms.max()
-        return float(top * ((terms / top) ** spec.q).sum() ** (1.0 / spec.q))
-    return float(total ** (1.0 / spec.q))
+    return sp._sampled_norms(lambda: [(terms.copy(),)], [(spec.q,)], counting=True)[0][0]
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
@@ -167,7 +159,8 @@ def _paraproducts(f: SpectralField, g: SpectralField, factor: int) -> list[np.nd
     from the blocks' samples there."""
     m = factor * f.grid.n
     # None marks an empty block, whose terms add exactly 0.0 and are skipped.
-    f_blocks, g_blocks = (_block_samples(h, factor) for h in (f, g))
+    f_blocks = _block_samples(f, factor)
+    g_blocks = f_blocks if g is f else _block_samples(g, factor)
 
     def paraproduct(lows, highs):
         acc = np.zeros((m, m))

@@ -47,10 +47,17 @@ Conventions used throughout the package:
   `_fine_arrays` writes the blocks into whole arrays at the factor its
   caller gives, for `oversampled_values` (so `product` and the
   positivity guard) and `bony_decompose`.  A sup or L^p (p != 2) norm
-  needs only a max or a sum: `lp_norm` and `vorticity_gradient_rows` (the
-  one source of w and |grad u|^2 on a grid) take each block from
-  `_fine_rows` in scratch that the next block overwrites, and reduce it
-  as it comes.
+  needs only a max or a sum, so it takes the blocks of `_fine_rows`, or
+  of `vorticity_gradient_rows` (the one source of w and |grad u|^2 on a
+  grid), in scratch that the next block overwrites.
+* Sampled norms.  `_sampled_norms` is the one reduction of sampled
+  values to sup and L^p norms: `lp_norm`, the records, the
+  Calderon-Zygmund ratio, the gradient sups and the Besov l^q sum all
+  call it.  One pass tracks each field's sup and sums |f|^p block by
+  block (squaring in place for p = 2, 4, 8).  Where a power mean
+  overflows or falls below the smallest normal float (a huge p, or a
+  tiny or huge field), one more pass takes it relative to that sup, so
+  norms scale with the field and a nonzero field never reads 0.
 * Products.  `product` samples fields of bands summing to B on the grid
   of the smallest power-of-two factor f >= 1 with f n/2 - 1 >= B
   (`_product_factor`).  No mode of the product has a component beyond
@@ -86,8 +93,8 @@ Where each invariant is checked:
 * Active spectrum: `active_modes` holds the one threshold below which a
   coefficient counts as transform round-off.  Grids read the exact
   support, checks read the active spectrum: the Nyquist check of
-  `_occupied_columns` and `diagnostics.commutator_ratio`'s band guard
-  (through `active_band`), and `littlewood_paley.bernstein_ratio`.
+  `_occupied_columns` (through `active_band`) and
+  `littlewood_paley.bernstein_ratio`.
 
 Ownership: a field takes over a C-contiguous float64/complex128 array
 that owns its data (`base is None`) without a copy and freezes it in
@@ -97,13 +104,14 @@ gives it up and keeps no view of it: such a view would still write into
 the field.  No operation mutates a field, and none writes to its
 inputs except scratch blocks: `_fine_rows` reuses its yielded buffers,
 `vorticity_gradient_rows` overwrites them with |grad u|^2, and
-`power_sum` overwrites the block it is given.
+`_sampled_norms` overwrites the blocks it reduces.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -614,45 +622,75 @@ def lp_of_power_mean(mean: float, p: float) -> float:
     return float((TWO_PI**2 * mean) ** (1.0 / p))
 
 
-def power_sum(v: np.ndarray, p: float) -> float:
-    """Sum of |v|^p over the block v, which it overwrites with |v|^p.
-    p = 2, 4 and 8 square in place: `v **= p` runs numpy's general pow
-    loop, several times slower."""
-    if p in (2, 4, 8):
-        for _ in range(int(p).bit_length() - 1):
-            np.square(v, out=v)
-    else:
-        np.abs(v, out=v)
-        v **= p
-    return float(np.sum(v))
+def _sampled_norms(rows, wanted, held=None, counting=False):
+    """Sup and L^p norms of sampled fields, reduced from row blocks: the
+    one home of both (module docstring).
+
+    `rows()` returns a fresh iterator of blocks, one array per field, all
+    of one shape; the reduction overwrites them.  Field i's blocks hold
+    f_i (held[i] = 1, the default) or |f_i|^2 (held[i] = 2).  wanted[i]
+    lists the norms of f_i to return, in its order: inf for the sup,
+    finite p ascending.  The norms are over [0, 2pi)^2 from grid means,
+    or with `counting` the l^p norms of the values themselves."""
+    held = held or (1,) * len(wanted)
+    tops = np.zeros(len(wanted))
+
+    def power_sums(todo, relative):
+        # Sums of |f_i|^p over one pass for each (i, p) in todo, or of
+        # (|f_i| / sup)^p when relative; the first pass tracks the sups.
+        totals = dict.fromkeys(todo, 0.0)
+        exponents = [[p for k, p in todo if k == i] for i in range(len(wanted))]
+        count = 0
+        with np.errstate(over="ignore"):  # an overflow is taken up below
+            for block in rows():
+                count += block[0].size
+                for i, (v, ps) in enumerate(zip(block, exponents)):
+                    if held[i] == 1:
+                        np.abs(v, out=v)
+                    if not relative:
+                        tops[i] = np.maximum(tops[i], v.max())  # keeps a NaN
+                    elif ps:
+                        v /= tops[i]
+                    q = held[i]
+                    for p in ps:
+                        # Squares in place: `v **= 8` runs numpy's general
+                        # pow loop, several times slower.
+                        if p / q in (1, 2, 4, 8):
+                            for _ in range(int(p / q).bit_length() - 1):
+                                np.square(v, out=v)
+                        else:
+                            v **= p / q
+                        q = p
+                        totals[i, p] += float(np.sum(v))
+        return totals, count
+
+    def norm(total, count, p):
+        return float(total ** (1.0 / p)) if counting else lp_of_power_mean(total / count, p)
+
+    todo = [(i, p) for i, ps in enumerate(wanted) for p in ps if p != math.inf]
+    totals, count = power_sums(todo, relative=False)
+    sups = [math.sqrt(t) if h == 2 else float(t) for t, h in zip(tops, held)]
+    norms = {(i, p): norm(totals[i, p], count, p) for i, p in todo}
+    # A power mean that overflows, or falls below the smallest normal float
+    # (its terms lost digits or vanished), is taken relative to the sup.
+    redo = [(i, p) for i, p in todo if tops[i] > 0.0 and not (
+        totals[i, p] >= count * sys.float_info.min and norms[i, p] < math.inf)]
+    if redo:
+        totals, count = power_sums(redo, relative=True)
+        norms.update({(i, p): sups[i] * norm(totals[i, p], count, p) for i, p in redo})
+    return [[sups[i] if p == math.inf else norms[i, p] for p in ps] for i, ps in enumerate(wanted)]
 
 
 def lp_norm(F: SpectralField, p: float) -> float:
-    """L^p norm over [0, 2pi)^2; p=2 by Parseval, otherwise from the field's
-    samples on the grid its band needs (module docstring; grid max for
-    p = inf), exact for p = 4 and 8; p in [1, inf].  Where the mean of
-    |f|^p over- or underflows (a huge p, or a tiny or huge field) it is
-    taken relative to the sampled sup, so a nonzero field never reads 0."""
+    """L^p norm over [0, 2pi)^2, p in [1, inf]: p = 2 by Parseval,
+    otherwise `_sampled_norms` of the field's samples on the grid its band
+    needs (module docstring), exact for p = 4 and 8."""
     if not 1.0 <= p <= np.inf:  # NaN fails too
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     if p == 2:
         return l2_norm(F)
     cols, factor = _occupied_columns(F)
-    blocks = functools.partial(_fine_rows, [cols], factor)  # a fresh pass per call
-    if np.isinf(p):
-        return float(np.max([np.abs(v, out=v).max() for v, in blocks()]))
-    total = 0.0
-    count = 0
-    with np.errstate(over="ignore"):  # an overflow is taken up below
-        for v, in blocks():
-            total += power_sum(v, p)
-            count += v.size
-    norm = lp_of_power_mean(total / count, p)
-    if not 0.0 < norm < math.inf and F.coef.any():
-        top = float(np.max([np.abs(v, out=v).max() for v, in blocks()]))
-        total = sum(power_sum(v / top, p) for v, in blocks())
-        norm = top * lp_of_power_mean(total / count, p)
-    return norm
+    return _sampled_norms(functools.partial(_fine_rows, [cols], factor), [(p,)])[0][0]
 
 
 def vorticity_gradient_rows(w: SpectralField):
@@ -681,12 +719,19 @@ def vorticity_gradient_rows(w: SpectralField):
         yield v, d11
 
 
+def _vorticity_gradient_norms(w: SpectralField, w_exponents, grad_exponents):
+    """`_sampled_norms` of w and of |grad u| (curl u = w), the norms that
+    `w_exponents` and `grad_exponents` list, from one
+    `vorticity_gradient_rows` pass."""
+    rows = functools.partial(vorticity_gradient_rows, w)
+    return _sampled_norms(rows, (w_exponents, grad_exponents), held=(1, 2))
+
+
 def vorticity_gradient_sups(w: SpectralField):
     """Grid maxima (||w||_inf, ||grad u||_inf) for the u with curl u = w,
-    from one `vorticity_gradient_rows` pass on the grid w's band needs."""
-    tops = [(np.abs(v, out=v).max(), sq.max()) for v, sq in vorticity_gradient_rows(w)]
-    top_w, top_sq = np.max(tops, axis=0)
-    return float(top_w), float(np.sqrt(top_sq))
+    on the grid w's band needs."""
+    (top_w,), (top_grad,) = _vorticity_gradient_norms(w, (np.inf,), (np.inf,))
+    return top_w, top_grad
 
 
 # --- random data -----------------------------------------------------------

@@ -132,12 +132,28 @@ class TestRatios:
         with pytest.raises(ValueError, match="p > 2 requires a pointwise nonnegative field"):
             dg.positivity_check(trough_between_nodes(factor * n // 2), p, 0.5)
 
-    def test_commutator_rejects_bands_summing_to_half_n(self):
-        g = sp.TorusGrid(32)
-        f = modes(g, (1.0, 8, 0))
-        assert dg.commutator_ratio(f, modes(g, (1.0, 0, 7)), 1.0, (4, 4, 4, 4)) > 0.0
-        with pytest.raises(ValueError, match="combined bands exceed the alias-free product range"):
-            dg.commutator_ratio(f, modes(g, (1.0, 0, 8)), 1.0, (4, 4, 4, 4))
+    def test_commutator_of_bands_summing_past_half_n_matches_the_2n_grid(self):
+        # cos 8 x1 and cos 8 x2 at n = 32: 8 + 8 > n/2 - 1, yet each product
+        # forms on the grid its band sum needs, and with exponents
+        # (4, 4, 4, 4) every norm is an exact integral on both grids.
+        ratios = [
+            dg.commutator_ratio(modes(g, (1.0, 8, 0)), modes(g, (1.0, 0, 8)), 1.0, (4, 4, 4, 4))
+            for g in (sp.TorusGrid(32), sp.TorusGrid(64))
+        ]
+        assert ratios[0] > 0.0
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
+    def test_commutator_of_a_solver_state_matches_its_2n_padding(self):
+        # A dealiased state carries bands up to n/3 in w and in j, past
+        # n/2 - 1 together.
+        cfg = dyn.SolverConfig(alpha=0.0, beta=1.25, nu=0.0, eta=0.02, n=32, dt=1e-3, t_end=5e-3)
+        init = dyn.make_initial(sp.TorusGrid(32), "random-band", seed=4, band=10)
+        state = [s for s, _ in dyn.run(cfg, init)][-1]
+        assert sp.active_band(state.w) + sp.active_band(state.j) > 32 // 2 - 1
+        ratio = dg.commutator_ratio(state.w, state.j, 1.0, (4, 4, 4, 4))
+        padded = dg.commutator_ratio(_padded(state.w), _padded(state.j), 1.0, (4, 4, 4, 4))
+        assert 0.0 < ratio < math.inf
+        assert ratio == pytest.approx(padded, rel=1e-12)
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize(
@@ -153,6 +169,16 @@ class TestRatios:
         g = sp.TorusGrid(n)
         ratio = dg.commutator_ratio(modes(g, (1.0, 1, 0)), modes(g, (1.0, 0, 1)), 2.0, exponents)
         assert ratio == pytest.approx(expect, rel=1e-14)
+
+
+def _padded(F):
+    """F on the 2n grid: the same modes, its coefficients scaled by 4 for
+    the (2n)^2 normalization."""
+    n = F.grid.n
+    k = F.grid.k.astype(int) % (2 * n)
+    coef = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    coef[np.ix_(k, k)] = 4.0 * F.coef
+    return sp.SpectralField(sp.TorusGrid(2 * n), coef)
 
 
 def _commutator_on_the_4n_grid(f, g, s):
@@ -344,6 +370,38 @@ def test_a_huge_p_or_a_tiny_field_reads_no_zero_norm():
         scaled = sp.SpectralField(g, scale * f.coef)
         for p in (3, 4, 8):
             assert sp.lp_norm(scaled, p) == pytest.approx(scale * sp.lp_norm(f, p), rel=1e-12)
+
+
+def test_a_subnormal_power_mean_is_taken_relative_to_the_sup():
+    # At these scales the mean of |f|^8 is a subnormal float, short of
+    # digits; relative to the sup it keeps them.
+    f = sp.random_band_field(sp.TorusGrid(64), np.random.default_rng(7), band=12)
+    for scale in (3e-39, 1e-39, 3e-40):
+        scaled = sp.SpectralField(f.grid, scale * f.coef)
+        want = scale * sp.lp_norm(f, 8)
+        assert sp.lp_norm(scaled, 8) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e40])
+def test_cz_ratio_does_not_depend_on_scale(scale):
+    # |w|^8 and |grad u|^8 under- or overflow at these scales.
+    w = sp.random_band_field(sp.TorusGrid(64), np.random.default_rng(7), band=12)
+    scaled = sp.SpectralField(w.grid, scale * w.coef)
+    for p in (4, 8):
+        assert dg.cz_ratio(scaled, p) == pytest.approx(dg.cz_ratio(w, p), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e40])
+def test_record_norms_scale_with_the_state(scale):
+    cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0)
+    state = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=5, band=12)
+    scaled = dyn.MHDState(
+        0.0, *(sp.SpectralField(F.grid, scale * F.coef) for F in (state.w, state.j))
+    )
+    rec, rec_scaled = (dg.compute_record(s, cfg) for s in (state, scaled))
+    for name in ("linf_w", "linf_grad_u", "lp4_w", "lp8_w"):
+        want = scale * getattr(rec, name)
+        assert getattr(rec_scaled, name) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestMonitoredNorms:

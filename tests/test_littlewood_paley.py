@@ -477,9 +477,9 @@ class TestZeroBlocks:
         assert sum(rows) == 4 * m
         rows.clear()
         lp.bony_decompose(f, f)
-        # 4 blocks of each factor on the n grid (8 + 8 <= n/2 - 1), then
-        # the 3 parts on the 2n grid.
-        assert sum(rows) == 2 * 4 * m + 3 * 2 * m
+        # f's 4 blocks on the n grid (8 + 8 <= n/2 - 1), sampled once for
+        # both factors, then the 3 parts on the 2n grid.
+        assert sum(rows) == 4 * m + 3 * 2 * m
 
 
 class TestBonyGrid:

@@ -877,8 +877,8 @@ def test_diagnostics_build_no_fine_grid():
 
 def test_checks_alone_read_the_active_spectrum():
     """Grids read the exact support (`_support`); only input checks read
-    the active threshold: the Nyquist check of `_occupied_columns`, the
-    commutator's band guard and `bernstein_ratio`'s support test."""
+    the active threshold: the Nyquist check of `_occupied_columns` and
+    `bernstein_ratio`'s support test."""
     readers = _package_scopes_where(
         lambda node: isinstance(node, (ast.Name, ast.Attribute))
         and _names(node) & {"active_band", "active_modes"}
@@ -886,9 +886,27 @@ def test_checks_alone_read_the_active_spectrum():
     assert {scope: set(names) for scope, names in readers.items()} == {
         "active_band": {"spectral.py"},
         "_occupied_columns": {"spectral.py"},
-        "commutator_ratio": {"diagnostics.py"},
         "bernstein_ratio": {"littlewood_paley.py"},
     }
+
+
+def test_only_the_reducer_reduces_sampled_blocks():
+    """Sup and L^p norms of sampled blocks have one home, `_sampled_norms`:
+    outside the block sources themselves, no scope loops over the blocks
+    of `_fine_rows` or `vorticity_gradient_rows`, and no other scope
+    names the power-mean helpers."""
+    sources = {"_fine_rows", "vorticity_gradient_rows"}
+    loops = _package_scopes_where(
+        lambda node: isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Call)
+        and bool(_names(node.iter.func) & sources)
+    )
+    assert loops == {"_fine_arrays": ["spectral.py"], "vorticity_gradient_rows": ["spectral.py"]}
+    powers = _package_scopes_where(
+        lambda node: isinstance(node, (ast.Name, ast.Attribute))
+        and bool(_names(node) & {"power_sum", "lp_of_power_mean"})
+    )
+    assert {scope.split(".")[0] for scope in powers} == {"_sampled_norms"}
 
 
 def test_package_holds_only_what_is_called():

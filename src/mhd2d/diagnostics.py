@@ -1,10 +1,11 @@
 """Monitored norms, energy budgets, and inequality-ratio diagnostics.
 
-L^2-type quantities are evaluated spectrally (Parseval); L^p for p != 2
-and sup norms are evaluated on a physical grid refined by a factor up to
-`spectral.OVERSAMPLE`, chosen from the field's band (12 samples per
-shortest wavelength, never coarser than the collocation grid), because
-the collocation max of a band-limited field underestimates its true sup.
+L^2-type quantities are evaluated spectrally (Parseval), ||Lambda^s f||^2
+by `spectral.lambda_norm_sq`; L^p for p != 2 and sup norms are evaluated
+on a physical grid refined by a factor up to `spectral.OVERSAMPLE`,
+chosen from the field's band (12 samples per shortest wavelength, never
+coarser than the collocation grid), because the collocation max of a
+band-limited field underestimates its true sup.
 A record of a state whose band exceeds n/6 samples on the OVERSAMPLE
 grid.  The commutator and positivity diagnostics take their products
 from `spectral.product` and their norms from `spectral.lp_norm`.
@@ -49,36 +50,31 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in dc_fields(DiagnosticsRecord))
 
 
-def _curl_sobolev_sq(F: SpectralField, s: float) -> float:
-    """||Lambda^s v||_{L^2}^2 for the divergence-free v with curl v = F.
-
-    On the lattice ||Lambda^s v|| = ||Lambda^(s-1) curl v|| exactly, so the
-    weight is |xi|^(2s-2) on the curl coefficients.
-    """
-    g = F.grid
-    return sp.weighted_l2_norm_sq(F, sp.symbol_power(g, s - 1.0))
-
-
 def budget_integrand(state, config):
     """(||Lambda^alpha u||^2, ||Lambda^beta b||^2, ||Lambda^beta j||^2),
-    the three dissipation rates accumulated in time by the run loop."""
-    diss_u = _curl_sobolev_sq(state.w, config.alpha)
-    diff_b = _curl_sobolev_sq(state.j, config.beta)
-    hbeta_j = sp.weighted_l2_norm_sq(state.j, sp.symbol_power(state.j.grid, config.beta))
-    return diss_u, diff_b, hbeta_j
+    the three dissipation rates accumulated in time by the run loop.
+
+    On the lattice ||Lambda^s v|| = ||Lambda^(s-1) curl v|| exactly for a
+    divergence-free v, so the rates of u and b are those of w = curl u and
+    j = curl b one order lower.
+    """
+    return (
+        sp.lambda_norm_sq(state.w, config.alpha - 1.0),
+        sp.lambda_norm_sq(state.j, config.beta - 1.0),
+        sp.lambda_norm_sq(state.j, config.beta),
+    )
 
 
 def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecord:
     """All monitored norms of one state; `integrals` carries the cumulative
     time integrals maintained by the run loop."""
     w, j = state.w, state.j
-    g = w.grid
-    energy_u = sp.weighted_l2_norm_sq(w, g.inv_ksq)
-    energy_b = sp.weighted_l2_norm_sq(j, g.inv_ksq)
+    energy_u = sp.lambda_norm_sq(w, -1.0)
+    energy_b = sp.lambda_norm_sq(j, -1.0)
     lp2_w_sq = sp.l2_norm_sq(w)
     x_val = lp2_w_sq + sp.l2_norm_sq(j)
     diss_u, diff_b, hbeta_j = budget_integrand(state, config)
-    h2beta_b = _curl_sobolev_sq(j, 2.0 * config.beta)
+    h2beta_b = sp.lambda_norm_sq(j, 2.0 * config.beta - 1.0)
 
     (linf_w, lp4_w, lp8_w), (linf_grad_u,) = sp._vorticity_gradient_norms(
         w, (np.inf, 4, 8), (np.inf,)
@@ -139,7 +135,7 @@ def gn_ratio(f: SpectralField, beta: float) -> float:
     if not f.is_zero_mean():
         raise sp.MeanModeError("ratio requires a zero-mean field")
     linf = sp.lp_norm(f, np.inf)
-    hbeta = math.sqrt(sp.weighted_l2_norm_sq(f, sp.symbol_power(f.grid, beta)))
+    hbeta = math.sqrt(sp.lambda_norm_sq(f, beta))
     return linf / (l2 ** ((beta - 1.0) / beta) * hbeta ** (1.0 / beta))
 
 
@@ -210,7 +206,7 @@ def positivity_check(f: SpectralField, p: int, alpha: float):
             raise ValueError("p > 2 requires a pointwise nonnegative field")
 
     half_power = sp.product(*[f] * (p // 2))
-    lhs = 2.0 * sp.weighted_l2_norm_sq(half_power, sp.symbol_power(half_power.grid, alpha))
+    lhs = 2.0 * sp.lambda_norm_sq(half_power, alpha)
     rhs = p * TWO_PI**2 * integrand.coef[0, 0].real / m**2
     return lhs, rhs
 
@@ -220,7 +216,7 @@ def cz_ratio(w: SpectralField, p: float) -> float:
     curl-controls-gradient ratio.  Exactly 1 at p = 2 by Parseval."""
     if p not in (2, 4, 8):
         raise ValueError(f"p must be one of 2, 4, 8, got {p}")
-    if sp.l2_norm(w) == 0.0:
+    if not w.coef.any():
         raise ValueError("zero input")
     if p == 2:
         grad_sq = sum(sp.l2_norm_sq(c) for c in sp.velocity_gradient(w))

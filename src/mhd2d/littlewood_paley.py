@@ -124,19 +124,13 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
     return sp._sampled_norms(lambda: [(terms.copy(),)], [(spec.q,)], counting=True)[0][0]
 
 
-def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
-    """Exact multiplier form: |xi|^s, or (1 + |xi|^2)^(s/2) with the mean."""
+def sobolev_norm(f: SpectralField, s: float) -> float:
+    """The homogeneous ||Lambda^s f||, by `spectral.lambda_norm_sq`; the
+    mean is left out at s = 0 too."""
     sp.check_finite("regularity s", s)
-    g = f.grid
-    if homogeneous:
-        if s < 0 and not f.is_zero_mean():
-            raise sp.MeanModeError("negative-order homogeneous norm needs zero mean")
-        weight = np.where(g.ksq > 0, sp.symbol_power(g, s), 0.0)
-    else:
-        if s > 0:
-            sp.check_weight(f"regularity s = {s}", 1.0 + float(g.ksq.max()), s)
-        weight = (1.0 + g.ksq) ** s
-    return math.sqrt(sp.weighted_l2_norm_sq(f, weight))
+    if s < 0 and not f.is_zero_mean():
+        raise sp.MeanModeError("negative-order homogeneous norm needs zero mean")
+    return math.sqrt(sp.lambda_norm_sq(sp.zero_mean(f), s))
 
 
 # --- paraproducts ------------------------------------------------------------
@@ -209,7 +203,7 @@ def bony_decompose(f: SpectralField, g: SpectralField):
             raise sp.MeanModeError(f"{name} must be zero-mean for the paraproduct split")
     n = f.grid.n
     band = sp._support(f)[1] + sp._support(g)[1]
-    factor = min(sp._product_factor(n, band), 2)
+    factor = sp._grid_factor(n, 2 * band + 2, 2)
     parts = _paraproducts(f, g, factor)
     if factor == 1:
         parts = sp._fine_arrays([sp._band_columns(part, band) for part in parts], 2)
@@ -270,11 +264,15 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     sp.check_finite("regularity s", s)
     if not s > 2.0:
         raise ValueError(f"regularity s must exceed 2, got {s}")
-    partition = build_partition(w.grid)
+    g = w.grid
+    partition = build_partition(g)
     u1, u2 = sp.biot_savart(w)
     linf_w, grad_sup = sp.vorticity_gradient_sups(w)
     l2_u = math.sqrt(sp.l2_norm_sq(u1) + sp.l2_norm_sq(u2))
-    hs_u = math.sqrt(sum(sobolev_norm(F, s, homogeneous=False) ** 2 for F in (u1, u2)))
+    # The inhomogeneous weight (1 + |xi|^2)^s, which counts the mean.
+    sp.check_weight(f"regularity s = {s}", 1.0 + float(g.ksq.max()), s)
+    weight = (1.0 + g.ksq) ** s
+    hs_u = math.sqrt(sum(sp.weighted_l2_norm_sq(F, weight) for F in (u1, u2)))
     denom = l2_u + linf_w * math.log2(2.0 + hs_u) + 1.0
     ratio = grad_sup / denom
 

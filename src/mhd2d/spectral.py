@@ -12,6 +12,11 @@ Conventions used throughout the package:
 * Parseval with this normalization:
       ||f||_{L^2}^2 = (2*pi)^2 * n^-4 * sum |coef|^2
   (the L^2 norm is over [0, 2*pi)^2, not the mean square).
+* Sobolev norms.  `lambda_norm_sq(F, s)` is the one formula for
+  ||Lambda^s f||_{L^2}^2 = (2*pi)^2 * n^-4 * sum |xi|^(2s) |coef|^2, with
+  the weight of `symbol_power`: the xi = 0 term counts only at s = 0 (so
+  s = -1 gives the energy of the u with curl u = f).  The records, the
+  energy budget and the inequality diagnostics all call it.
 * Real fields are kept exactly real by doing the physical<->spectral
   round trips with real 1D transforms and extending the half spectrum by
   Hermitian symmetry, which also keeps coef(-xi) == conj(coef(xi))
@@ -57,22 +62,28 @@ Conventions used throughout the package:
   block (squaring in place for p = 2, 4, 8).  Where a power mean
   overflows or falls below the smallest normal float (a huge p, or a
   tiny or huge field), one more pass takes it relative to that sup, so
-  norms scale with the field and a nonzero field never reads 0.
+  norms scale with the field and a nonzero field never reads 0.  The
+  squares |grad u|^2 are formed for 2^-e w, with 2^e the order of w's
+  largest mode, so they neither overflow nor underflow, and their norms
+  scale back exactly (`_vorticity_gradient_norms`).
+* Grid factors.  `_grid_factor(n, nodes, cap)` is the one rule for the
+  factor f of a sampling grid: the smallest power of two f >= 1 with
+  f n >= nodes, at most cap.
 * Products.  `product` samples fields of bands summing to B on the grid
-  of the smallest power-of-two factor f >= 1 with f n/2 - 1 >= B
-  (`_product_factor`).  No mode of the product has a component beyond
-  B <= m/2 - 1 on that m = f n grid, so none wraps onto another: the
-  transform of the sampled product is its exact spectrum
-  (`_band_columns`).  `littlewood_paley.bony_decompose` forms its block
-  products by the same rule, capped at f = 2: its parts live on the 2n
-  grid, where their samples are exact pointwise products whatever B is.
-  Sums form on one grid only.
+  of `_grid_factor` with nodes = 2 B + 2, so f n/2 - 1 >= B.  No mode of
+  the product has a component beyond B <= m/2 - 1 on that m = f n grid,
+  so none wraps onto another: the transform of the sampled product is
+  its exact spectrum (`_band_columns`).
+  `littlewood_paley.bony_decompose` forms its block products by the same
+  rule with cap = 2: its parts live on the 2n grid, where their samples
+  are exact pointwise products whatever B is.  Sums form on one grid
+  only.
 * The grid follows the band.  A field's band B is the largest |xi_1| or
   |xi_2| of an exactly nonzero coefficient, read by `_support`.  A sup or
-  L^p (p != 2) norm samples it on the grid of the smallest power of two
-  f >= 1 with f n >= 3 OVERSAMPLE B, at most OVERSAMPLE: 12 nodes per
-  shortest wavelength, as the OVERSAMPLE grid gives a dealiased field of
-  full band.  That grid lies between the collocation and the OVERSAMPLE
+  L^p (p != 2) norm samples it on the grid of `_grid_factor` with
+  nodes = 3 OVERSAMPLE B and cap = OVERSAMPLE: 12 nodes per shortest
+  wavelength, as the OVERSAMPLE grid gives a dealiased field of full
+  band.  That grid lies between the collocation and the OVERSAMPLE
   grid, and so does its sup.  For B <= n/3, Ehlich-Zeller in each
   variable puts the true sup of w (degree B) or |grad u|^2 (degree 2B)
   within sec^2(pi d / m) <= 4/3 of the maximum on m = f n nodes, and the
@@ -222,10 +233,8 @@ class TorusGrid:
 
     @functools.cached_property
     def inv_ksq(self) -> np.ndarray:
-        """1/|xi|^2, and 0 at xi = 0."""
-        inv = np.zeros_like(self.ksq)
-        inv[self.ksq > 0] = 1.0 / self.ksq[self.ksq > 0]
-        return _frozen(inv)
+        """1/|xi|^2, and 0 at xi = 0: `symbol_power` at gamma = -1."""
+        return symbol_power(self, -1.0)
 
     # Odd-order multipliers annihilate the Nyquist line so that they map
     # Hermitian-symmetric arrays to Hermitian-symmetric arrays.
@@ -399,8 +408,10 @@ def symbol_power(grid: TorusGrid, gamma: float) -> np.ndarray:
     """|xi|^(2*gamma) on the lattice; the xi=0 entry is 0 unless gamma == 0.
 
     Cached per (grid, gamma); the returned array is shared and read-only.
-    A gamma > 0 whose largest entry overflows raises ValueError.
+    A gamma that is not finite, or a gamma > 0 whose largest entry
+    overflows, raises ValueError.
     """
+    check_finite("exponent gamma", gamma)
     if gamma == 0.0:
         return _frozen(np.ones((grid.n, grid.n)))
     if gamma > 0.0:
@@ -482,6 +493,12 @@ def weighted_l2_norm_sq(F: SpectralField, weight: np.ndarray) -> float:
     return float(TWO_PI**2 / n**4 * np.sum(weight * np.abs(F.coef) ** 2))
 
 
+def lambda_norm_sq(F: SpectralField, s: float) -> float:
+    """||Lambda^s f||_{L^2}^2 = (2 pi)^2 n^-4 sum |xi|^(2s) |coef|^2, with
+    the weight of `symbol_power`: the xi = 0 term counts only at s = 0."""
+    return weighted_l2_norm_sq(F, symbol_power(F.grid, s))
+
+
 def active_modes(F: SpectralField) -> np.ndarray:
     """Mask of the coefficients above 1e-13 * max|coef|, so transform
     round-off does not count (all False for the zero field)."""
@@ -526,9 +543,7 @@ def _occupied_columns(F: SpectralField, factor: int | None = None):
     n = F.grid.n
     cols, band = _support(F)
     if factor is None:
-        factor = 1
-        while factor < OVERSAMPLE and factor * n < 3 * OVERSAMPLE * band:
-            factor *= 2
+        factor = _grid_factor(n, 3 * OVERSAMPLE * band, OVERSAMPLE)
     if factor > 1 and band > n // 2 - 1 and active_band(F) > n // 2 - 1:
         raise ValueError("field carries Nyquist content; cannot oversample exactly")
     return cols, factor
@@ -581,12 +596,11 @@ def _fine_rows(leading, factor, out=None):
         yield dests
 
 
-def _product_factor(n: int, band: int) -> int:
-    """The smallest power of two f >= 1 with f n/2 - 1 >= band: on that
-    grid a product of fields of n-grid spectra whose bands sum to `band`
-    is alias-free (module docstring)."""
+def _grid_factor(n: int, nodes: int, cap: float = math.inf) -> int:
+    """The smallest power of two f >= 1 with f n >= nodes, or `cap` if that
+    is smaller: the factor of every sampling grid (module docstring)."""
     factor = 1
-    while factor * n // 2 - 1 < band:
+    while factor < cap and factor * n < nodes:
         factor *= 2
     return factor
 
@@ -608,7 +622,7 @@ def product(*fields: SpectralField) -> SpectralField:
     _check_same_grid(*fields)
     n = fields[0].grid.n
     band = sum(_support(F)[1] for F in fields)
-    factor = _product_factor(n, band)
+    factor = _grid_factor(n, 2 * band + 2)
     m = factor * n
     unique = {id(F): F for F in fields}  # a field given more than once is evaluated once
     samples = {key: oversampled_values(F, factor) for key, F in unique.items()}
@@ -693,24 +707,26 @@ def lp_norm(F: SpectralField, p: float) -> float:
     return _sampled_norms(functools.partial(_fine_rows, [cols], factor), [(p,)])[0][0]
 
 
-def vorticity_gradient_rows(w: SpectralField):
-    """Row blocks (w, |grad u|^2) for the divergence-free u with curl u = w,
-    on the grid that w's band needs (module docstring), in scratch that
-    the next block overwrites, as `_fine_rows` yields it.
+def vorticity_gradient_rows(w: SpectralField, e: int = 0):
+    """Row blocks (w, |grad u|^2 / 4^e) for the divergence-free u with
+    curl u = w, on the grid that w's band needs (module docstring), in
+    scratch that the next block overwrites, as `_fine_rows` yields it.
 
     Three transforms, of w, d1u1 and the strain sigma = d1u2 + d2u1: in 2D
     d2u2 = -d1u1 and w = d1u2 - d2u1, so
     |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2.  The w block is yielded
     unsquared, so its max stays exact where w^2 would underflow.  The
     gradient multipliers act on w's occupied columns only, and w's band
-    and Nyquist check stand for the derived fields."""
+    and Nyquist check stand for the derived fields.  The gradient is that
+    of 2^-e w, scaled exactly (barring overflow and underflow)."""
     cols, factor = _occupied_columns(w)
-    c11, c21, c12 = _gradient_coefs(w.grid, cols)
+    scaled = np.ldexp(cols.view(np.float64), -e).view(np.complex128)
+    c11, c21, c12 = _gradient_coefs(w.grid, scaled)
     c12 += c21
     w_sq = None  # the first block allocates it, the rest reuse it
     for v, d11, sigma in _fine_rows((cols, c11, c12), factor):
         np.square(sigma, out=sigma)
-        w_sq = np.square(v, out=w_sq)
+        w_sq = np.square(np.ldexp(v, -e, out=w_sq), out=w_sq)
         sigma += w_sq
         sigma *= 0.5
         np.square(d11, out=d11)
@@ -722,9 +738,16 @@ def vorticity_gradient_rows(w: SpectralField):
 def _vorticity_gradient_norms(w: SpectralField, w_exponents, grad_exponents):
     """`_sampled_norms` of w and of |grad u| (curl u = w), the norms that
     `w_exponents` and `grad_exponents` list, from one
-    `vorticity_gradient_rows` pass."""
-    rows = functools.partial(vorticity_gradient_rows, w)
-    return _sampled_norms(rows, (w_exponents, grad_exponents), held=(1, 2))
+    `vorticity_gradient_rows` pass.
+
+    The gradient is sampled for 2^-e w, with 2^e the binary order of
+    max|w_hat| / n^2, the amplitude of w's largest mode: |grad u|^2 then
+    neither overflows nor underflows, whatever w's scale, and its norms
+    scale back by 2^e exactly."""
+    e = math.frexp(float(np.abs(w.coef).max()) / w.grid.n**2)[1]
+    rows = functools.partial(vorticity_gradient_rows, w, e)
+    w_norms, grad_norms = _sampled_norms(rows, (w_exponents, grad_exponents), held=(1, 2))
+    return w_norms, [v * 2.0**e for v in grad_norms]
 
 
 def vorticity_gradient_sups(w: SpectralField):

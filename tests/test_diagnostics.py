@@ -155,6 +155,21 @@ class TestRatios:
         assert 0.0 < ratio < math.inf
         assert ratio == pytest.approx(padded, rel=1e-12)
 
+    def test_commutator_of_a_zero_field_is_zero(self, grid64):
+        g = sp.random_band_field(grid64, np.random.default_rng(4), band=6)
+        assert dg.commutator_ratio(sp.SpectralField.zeros(grid64), g, 1.0, (4, 4, 4, 4)) == 0.0
+
+    def test_commutator_of_a_constant_field_is_zero(self, grid64):
+        # f = 0.3: the commutator is transform round-off, not exactly zero,
+        # but grad f and Lambda^s f vanish, so the ratio is 0 by definition.
+        f = modes(grid64, (0.3, 0, 0))
+        g = sp.random_band_field(grid64, np.random.default_rng(4), band=6)
+        commutator = sp.fractional_laplacian(sp.product(f, g), 0.5) - sp.product(
+            f, sp.fractional_laplacian(g, 0.5)
+        )
+        assert sp.lp_norm(commutator, 2) > 0.0
+        assert dg.commutator_ratio(f, g, 1.0, (4, 4, 4, 4)) == 0.0
+
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize(
         "exponents, expect",
@@ -288,6 +303,14 @@ FLOAT_GUARDS = {
         "scale j must be finite", f"scale j = 1e\\+300: .* {OVERFLOW}",
         lambda g, f, b, x: lp.bernstein_ratio(b, x, 1, "ball"),
     ),
+    "positivity_check-alpha": (
+        "alpha must lie in", "alpha must lie in",
+        lambda g, f, b, x: dg.positivity_check(f, 2, x),
+    ),
+    "cz_ratio-p": (
+        "p must be one of", "p must be one of",
+        lambda g, f, b, x: dg.cz_ratio(f, x),
+    ),
 }
 
 
@@ -341,6 +364,100 @@ def test_integer_guards(guard, value):
         call(f, lp.dyadic_block(f, 2), value)
 
 
+# Finite arguments outside a function's domain (FLOAT_GUARDS has the
+# non-finite ones): each bad value with the message it must give.  The
+# calls take a band-5 field f at n = 32 and its dyadic block b at j = 2
+# (|xi| in (2, 8)).
+DOMAIN_GUARDS = {
+    "gn_ratio-beta": (
+        "interpolation exponent must exceed 1",
+        lambda f, b, x: dg.gn_ratio(f, x),
+        [1.0, 0.5, -2.0],
+    ),
+    "commutator_ratio-s": (
+        "order s must be positive",
+        lambda f, b, x: dg.commutator_ratio(f, f, x, (4, 4, 4, 4)),
+        [0.0, -1.0],
+    ),
+    "commutator_ratio-exponents": (
+        "exponents must come from",
+        lambda f, b, x: dg.commutator_ratio(f, f, 1.0, x),
+        [(3, 4, 4, 4), (4, 4, 4, 1)],
+    ),
+    "commutator_ratio-hoelder": (
+        "Hoelder exponents inconsistent",
+        lambda f, b, x: dg.commutator_ratio(f, f, 1.0, x),
+        [(2, 2, 4, 4), (np.inf, 4, 2, 2)],
+    ),
+    "BesovSpec-p": ("p must lie in", lambda f, b, x: lp.BesovSpec(0.5, x, 2), [0.5, -1.0]),
+    "BesovSpec-q": ("q must lie in", lambda f, b, x: lp.BesovSpec(0.5, 2, x), [0.5, 0.0]),
+    "bernstein_ratio-support": (
+        "support must be 'annulus' or 'ball'",
+        lambda f, b, x: lp.bernstein_ratio(b, 2, 1, x),
+        ["disk", "Ball"],
+    ),
+    "bernstein_ratio-ball": (
+        "not supported in the ball",
+        lambda f, b, x: lp.bernstein_ratio(b, x, 1, "ball"),
+        [1, 2],
+    ),
+    "make_initial-kind": (
+        "kind must be one of",
+        lambda f, b, x: dyn.make_initial(f.grid, x),
+        ["vortex", "Orszag-Tang"],
+    ),
+    "SolverConfig-dt": (
+        "dt must be positive",
+        lambda f, b, x: dyn.SolverConfig(alpha=0.0, beta=0.0, nu=0.0, eta=0.0, dt=x),
+        [0.0, -1e-3],
+    ),
+    "SolverConfig-t_end": (
+        "t_end must be nonnegative",
+        lambda f, b, x: dyn.SolverConfig(alpha=0.0, beta=0.0, nu=0.0, eta=0.0, t_end=x),
+        [-1e-3],
+    ),
+    "RealField-shape": (
+        "expected shape",
+        lambda f, b, x: sp.RealField(f.grid, np.zeros(x)),
+        [(32, 16), (64, 64), (32,)],
+    ),
+    "SpectralField-shape": (
+        "expected shape",
+        lambda f, b, x: sp.SpectralField(f.grid, np.zeros(x, dtype=np.complex128)),
+        [(32, 17), (16, 16), (32, 32, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "guard, value",
+    [
+        pytest.param(guard, value, id=f"{guard}-{value}")
+        for guard, (_, _, values) in DOMAIN_GUARDS.items()
+        for value in values
+    ],
+)
+def test_domain_guards(guard, value):
+    message, call, _ = DOMAIN_GUARDS[guard]
+    f = sp.random_band_field(sp.TorusGrid(32), np.random.default_rng(1), 5)
+    with pytest.raises(ValueError, match=message):
+        call(f, lp.dyadic_block(f, 2), value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda z: dg.gn_ratio(z, 1.5), id="gn_ratio"),
+        pytest.param(lambda z: dg.cz_ratio(z, 2), id="cz_ratio-p2"),
+        pytest.param(lambda z: dg.cz_ratio(z, 4), id="cz_ratio-p4"),
+        pytest.param(lambda z: lp.bernstein_ratio(z, 2, 1), id="bernstein_ratio"),
+    ],
+)
+def test_the_zero_field_is_refused_by_the_ratios(call):
+    with pytest.raises(ValueError, match="zero input"):
+        call(sp.SpectralField.zeros(sp.TorusGrid(32)))
+
+
 def test_numpy_integers_pass_the_integer_guards():
     g = sp.TorusGrid(32)
     f = modes(g, (2.0, 0, 0), (1.0, 1, 0), (0.5, 0, 2))
@@ -382,17 +499,19 @@ def test_a_subnormal_power_mean_is_taken_relative_to_the_sup():
         assert sp.lp_norm(scaled, 8) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("scale", [1e-40, 1e40])
+@pytest.mark.parametrize("scale", [1e-40, 1e40, 1e-170, 1e160])
 def test_cz_ratio_does_not_depend_on_scale(scale):
-    # |w|^8 and |grad u|^8 under- or overflow at these scales.
+    # |w|^8 and |grad u|^8 under- or overflow at these scales, and from
+    # 1e-170 on, ||w||_2^2 and |grad u|^2 do.
     w = sp.random_band_field(sp.TorusGrid(64), np.random.default_rng(7), band=12)
     scaled = sp.SpectralField(w.grid, scale * w.coef)
     for p in (4, 8):
         assert dg.cz_ratio(scaled, p) == pytest.approx(dg.cz_ratio(w, p), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("scale", [1e-40, 1e40])
+@pytest.mark.parametrize("scale", [1e-40, 1e40, 1e-160, 1e-170])
 def test_record_norms_scale_with_the_state(scale):
+    # |grad u|^2 is subnormal at 1e-160 and underflows to 0 at 1e-170.
     cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0)
     state = dyn.make_initial(sp.TorusGrid(64), "random-band", seed=5, band=12)
     scaled = dyn.MHDState(
@@ -402,6 +521,15 @@ def test_record_norms_scale_with_the_state(scale):
     for name in ("linf_w", "linf_grad_u", "lp4_w", "lp8_w"):
         want = scale * getattr(rec, name)
         assert getattr(rec_scaled, name) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+def test_gradient_sups_scale_with_the_field(scale):
+    # |grad u|^2 underflows or overflows at these scales; the sups do not.
+    w = sp.random_band_field(sp.TorusGrid(64), np.random.default_rng(7), band=12)
+    scaled = sp.SpectralField(w.grid, scale * w.coef)
+    for got, want in zip(sp.vorticity_gradient_sups(scaled), sp.vorticity_gradient_sups(w)):
+        assert got == pytest.approx(scale * want, rel=1e-13, abs=0.0)
 
 
 class TestMonitoredNorms:
@@ -455,6 +583,13 @@ class TestMonitoredNorms:
         recs = [r for _, r in dyn.run(cfg, init)]
         assert len(recs) == 2
         with pytest.raises(ValueError, match="zero initial energy"):
+            dg.energy_budget_residual(recs, cfg)
+
+    def test_budget_residual_needs_two_records(self):
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=32, dt=1e-3, t_end=0.0)
+        recs = [r for _, r in dyn.run(cfg, dyn.make_initial(sp.TorusGrid(32), "orszag-tang"))]
+        assert len(recs) == 1
+        with pytest.raises(ValueError, match="at least two records"):
             dg.energy_budget_residual(recs, cfg)
 
     def test_record_rejects_a_non_finite_gradient_block(self, monkeypatch):

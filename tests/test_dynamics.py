@@ -416,6 +416,30 @@ class TestStep:
         assert info.value.state is state
         assert info.value.t == [0.3, 0.3 + h / 2, 0.3 + h / 2, 0.3 + h][k - 1]
 
+    def test_rejects_a_state_of_another_grid(self):
+        with pytest.raises(sp.GridMismatchError, match="state grid n=32 != config n=64"):
+            dyn.step(random_state(n=32, band=10), ideal_config(n=64))
+
+    def test_tenfold_growth_in_one_step_aborts_with_the_input(self, monkeypatch):
+        # Tendencies of 1e5 times the stage input stay finite, dealiased and
+        # zero-mean, but the update grows the vorticity far beyond 10x.
+        state = dataclasses.replace(random_state(n=32, band=10), t=0.2)
+        monkeypatch.setattr(dyn, "_nonlinear_half", lambda grid, wj, *args: 1e5 * wj)
+        with pytest.raises(dyn.SimulationAbort, match="grew more than 10x") as info:
+            dyn.step(state, ideal_config(n=32))
+        assert info.value.state is state
+        assert info.value.t == 0.2
+
+    def test_a_non_finite_product_aborts(self):
+        # Velocities of about 1e160 are finite; their products overflow.
+        state = random_state(n=32, band=10)
+        huge = dyn.MHDState(
+            0.0, *(sp.SpectralField(f.grid, 1e160 * f.coef) for f in (state.w, state.j))
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dyn.SimulationAbort, match="non-finite value in a nonlinear"):
+                dyn.vorticity_rhs(huge)
+
     def test_blowup_raises_simulation_abort(self):
         state = random_state(n=32, band=10, seed=5, amp=300.0)
         cfg = ideal_config(n=32, dt=0.5)
@@ -426,6 +450,10 @@ class TestStep:
 
 
 class TestRun:
+    def test_rejects_an_initial_state_of_another_grid(self):
+        with pytest.raises(sp.GridMismatchError, match="initial state n=32 != config n=64"):
+            next(dyn.run(ideal_config(n=64), random_state(n=32, band=10)))
+
     def test_t_end_zero_emits_only_initial_record(self):
         cfg = ideal_config(t_end=0.0)
         out = list(dyn.run(cfg, dyn.make_initial(sp.TorusGrid(64), "random-band")))
@@ -602,6 +630,31 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ckpt.CheckpointFormatError):
             ckpt.read_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "cut.mhd2"
+        path.write_bytes(ckpt.MAGIC + b"\x01\x00\x00\x00")
+        with pytest.raises(ckpt.CheckpointFormatError, match="truncated header"):
+            ckpt.read_checkpoint(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        def edit(raw):
+            raw[4:8] = struct.pack("<I", ckpt.VERSION + 1)
+            return raw
+
+        with pytest.raises(ckpt.CheckpointFormatError, match="unsupported format version 2"):
+            ckpt.read_checkpoint(self._corrupt(tmp_path, edit))
+
+    def test_non_hermitian_payload_rejected(self, tmp_path):
+        # The imaginary part of w's coefficient at xi = (1, 1) alone changes:
+        # the field stays finite, zero-mean and dealiased.
+        def edit(raw):
+            at = ckpt._HEADER.size + (32 + 1) * 16 + 8
+            raw[at : at + 8] = struct.pack("<d", 1e6)
+            return raw
+
+        with pytest.raises(ckpt.CheckpointFormatError, match="w coefficients are not Hermitian"):
+            ckpt.read_checkpoint(self._corrupt(tmp_path, edit))
 
     def _corrupt(self, tmp_path, edit):
         """Write a valid n=32 checkpoint, let `edit` rewrite its bytes."""

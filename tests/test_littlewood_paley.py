@@ -67,6 +67,11 @@ class TestBlocks:
             total += lp.dyadic_block(f, j).coef
         assert np.max(np.abs(total - f.coef)) / np.max(np.abs(f.coef)) < 1e-12
 
+    def test_a_block_off_the_lattice_is_the_zero_field(self, grid, part):
+        f = band_field(grid, seed=12, band=40)
+        for j in (-1, part.j_max + 1, part.j_max + 5):
+            assert not lp.dyadic_block(f, j).coef.any()
+
     def test_block_disjointness_exact(self, grid):
         f = band_field(grid, seed=8, band=40)
         for j, k in ((0, 2), (3, 5), (1, 6), (2, 4)):
@@ -511,7 +516,7 @@ class TestBonyGrid:
             sp.forward(oracles.inverse(band_field(grid, seed=s, band=8))) for s in (130, 131)
         )
         band = sp._support(f)[1] + sp._support(g)[1]
-        assert band == grid.n and sp._product_factor(grid.n, band) == 4
+        assert band == grid.n and sp._grid_factor(grid.n, 2 * band + 2) == 4
         factors = []
         real = sp._fine_rows
 

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -888,6 +889,70 @@ def test_checks_alone_read_the_active_spectrum():
         "_occupied_columns": {"spectral.py"},
         "bernstein_ratio": {"littlewood_paley.py"},
     }
+
+
+def _named_outside_spectral(name):
+    """{scope: [module file names]} of the scopes outside spectral.py that
+    name `name`."""
+    found = _package_scopes_where(
+        lambda node: isinstance(node, (ast.Name, ast.Attribute)) and name in _names(node)
+    )
+    found = {scope: [f for f in files if f != "spectral.py"] for scope, files in found.items()}
+    return {scope: files for scope, files in found.items() if files}
+
+
+def test_sobolev_sums_go_through_lambda_norm_sq():
+    """||Lambda^s f||^2 has one formula, `spectral.lambda_norm_sq`.  Outside
+    `spectral`, the |xi|^(2s) weight is built only for the integrating
+    factors, the inverse Laplacian is read nowhere, and a weight is summed
+    by hand only where it is no power of |xi|: the inhomogeneous
+    (1 + |xi|^2)^s of the log inequality and Bernstein's derivative
+    weights."""
+    assert _named_outside_spectral("symbol_power") == {"_integrating_factors": ["dynamics.py"]}
+    assert _named_outside_spectral("inv_ksq") == {}
+    assert _named_outside_spectral("weighted_l2_norm_sq") == {
+        "log_inequality_ratio": ["littlewood_paley.py"],
+        "bernstein_ratio": ["littlewood_paley.py"],
+    }
+    assert not hasattr(dg, "_curl_sobolev_sq")
+    assert list(inspect.signature(lp.sobolev_norm).parameters) == ["f", "s"]
+
+
+def _doubles_in_place(node):
+    """x *= 2, x <<= 1, x = 2 * x or x = x * 2."""
+    def is_const(value, want):
+        return isinstance(value, ast.Constant) and value.value == want
+
+    if isinstance(node, ast.AugAssign):
+        return (isinstance(node.op, ast.Mult) and is_const(node.value, 2)) or (
+            isinstance(node.op, ast.LShift) and is_const(node.value, 1)
+        )
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+        value = node.value
+        targets = {ast.dump(t) for t in node.targets}
+        operands = [ast.dump(value.left), ast.dump(value.right)]
+        return isinstance(value.op, ast.Mult) and (
+            (is_const(value.left, 2) and operands[1] in targets)
+            or (is_const(value.right, 2) and operands[0] in targets)
+        )
+    return False
+
+
+def test_one_rule_doubles_a_grid_factor():
+    """`_grid_factor` is the one rule for the factor of a sampling grid: no
+    other scope of the package doubles a variable in place, and
+    `_product_factor`, its predecessor for products, is gone."""
+    assert _package_scopes_where(_doubles_in_place) == {"_grid_factor": ["spectral.py"]}
+    assert not hasattr(sp, "_product_factor")
+
+
+@pytest.mark.parametrize(
+    "n, nodes, cap, factor",
+    [(64, 1, math.inf, 1), (64, 64, math.inf, 1), (64, 65, math.inf, 2), (64, 258, math.inf, 8),
+     (64, 258, 4, 4), (64, 258, 2, 2), (64, 0, 4, 1)],
+)
+def test_grid_factor(n, nodes, cap, factor):
+    assert sp._grid_factor(n, nodes, cap) == factor
 
 
 def test_only_the_reducer_reduces_sampled_blocks():

@@ -5,7 +5,8 @@ by `spectral.lambda_norm_sq`; L^p for p != 2 and sup norms are evaluated
 on a physical grid refined by a factor up to `spectral.OVERSAMPLE`,
 chosen from the field's band (12 samples per shortest wavelength, never
 coarser than the collocation grid), because the collocation max of a
-band-limited field underestimates its true sup.
+band-limited field underestimates its true sup.  The Calderon-Zygmund
+ratio samples p = 2 like 4 and 8, and reads 1 there to round-off.
 A record of a state whose band exceeds n/6 samples on the OVERSAMPLE
 grid.  The commutator and positivity diagnostics take their products
 from `spectral.product` and their norms from `spectral.lp_norm`.
@@ -213,13 +214,13 @@ def positivity_check(f: SpectralField, p: int, alpha: float):
 
 def cz_ratio(w: SpectralField, p: float) -> float:
     """||grad u||_p / ||w||_p for u recovered from the vorticity w; the
-    curl-controls-gradient ratio.  Exactly 1 at p = 2 by Parseval."""
+    curl-controls-gradient ratio.  Every p is sampled alike, in one
+    `_vorticity_gradient_norms` pass on the grid w's band needs, where the
+    grid means of |f|^p are exact integrals; at p = 2 the ratio is 1 to
+    round-off, at any scale of w."""
     if p not in (2, 4, 8):
         raise ValueError(f"p must be one of 2, 4, 8, got {p}")
     if not w.coef.any():
         raise ValueError("zero input")
-    if p == 2:
-        grad_sq = sum(sp.l2_norm_sq(c) for c in sp.velocity_gradient(w))
-        return math.sqrt(grad_sq / sp.l2_norm_sq(w))
     (lp_w,), (lp_grad,) = sp._vorticity_gradient_norms(w, (p,), (p,))
     return lp_grad / lp_w

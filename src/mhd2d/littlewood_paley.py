@@ -255,6 +255,10 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     """||grad u||_inf against ||u||_2 + ||w||_inf log2(2 + ||u||_{H^s}) + 1
     for the divergence-free u with curl u = w; requires s > 2.
 
+    Both u-norms are read off w's spectrum through Lambda^-1 w, as
+    |u_hat| = |xi|^-1 |w_hat|:
+    ||u||_{H^s}^2 = (2 pi)^2 n^-4 sum (1 + |xi|^2)^s |xi|^-2 |w_hat|^2.
+
     The split reports sup norms of the blocked gradient: the first
     `n_split` dyadic blocks (each controlled by ||w||_inf) and the tail
     (controlled by 2^(n_split (2-s)) ||u||_{H^s}), with
@@ -266,13 +270,12 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
         raise ValueError(f"regularity s must exceed 2, got {s}")
     g = w.grid
     partition = build_partition(g)
-    u1, u2 = sp.biot_savart(w)
+    lam_inv_w = sp.fractional_laplacian(w, -0.5)
     linf_w, grad_sup = sp.vorticity_gradient_sups(w)
-    l2_u = math.sqrt(sp.l2_norm_sq(u1) + sp.l2_norm_sq(u2))
+    l2_u = sp.l2_norm(lam_inv_w)
     # The inhomogeneous weight (1 + |xi|^2)^s, which counts the mean.
     sp.check_weight(f"regularity s = {s}", 1.0 + float(g.ksq.max()), s)
-    weight = (1.0 + g.ksq) ** s
-    hs_u = math.sqrt(sum(sp.weighted_l2_norm_sq(F, weight) for F in (u1, u2)))
+    hs_u = math.sqrt(sp.weighted_l2_norm_sq(lam_inv_w, (1.0 + g.ksq) ** s))
     denom = l2_u + linf_w * math.log2(2.0 + hs_u) + 1.0
     ratio = grad_sup / denom
 

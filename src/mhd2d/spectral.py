@@ -87,7 +87,8 @@ Conventions used throughout the package:
   grid, and so does its sup.  For B <= n/3, Ehlich-Zeller in each
   variable puts the true sup of w (degree B) or |grad u|^2 (degree 2B)
   within sec^2(pi d / m) <= 4/3 of the maximum on m = f n nodes, and the
-  grid means of |f|^4 and |f|^8 are exact integrals.
+  grid means of |f|^2 (the Calderon-Zygmund ratio samples p = 2 too),
+  |f|^4 and |f|^8 are exact integrals.
 
 Where each invariant is checked:
 
@@ -96,9 +97,10 @@ Where each invariant is checked:
   `claim_dealiased` argument raises DealiasError if it does not hold.
 * Zero mean and dealiasing of a simulation state: `MHDState`
   (module dynamics), for every state the solver makes or reads.
-* Zero mean of a curl field: `is_zero_mean`'s rule, in `biot_savart`
-  and `_gradient_coefs`, so no velocity or velocity gradient is formed
-  from a w with a mean.
+* Zero mean of a curl field: `is_zero_mean`'s rule, in `_gradient_coefs`
+  and in `fractional_laplacian` of negative order (Lambda^-1 w has the
+  moduli |u_hat| = |xi|^-1 |w_hat|), so no velocity gradient or
+  velocity norm is formed from a w with a mean.
 * Hermitian symmetry: built exactly by `_hermitian_extend` on every
   forward transform, and checked on outside input by `read_checkpoint`.
 * Active spectrum: `active_modes` holds the one threshold below which a
@@ -438,34 +440,17 @@ def _biot_savart_symbols(g: TorusGrid):
     return 1j * g.kd2 * g.inv_ksq, -1j * g.kd1 * g.inv_ksq
 
 
-def biot_savart(w: SpectralField):
-    """Divergence-free velocity with curl u = w and zero mean.
-
-    u_hat(xi) = (i xi_2, -i xi_1) w_hat(xi)/|xi|^2, u_hat(0) = 0.
-    """
-    if not w.is_zero_mean():
-        raise MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
-    return tuple(SpectralField(w.grid, m * w.coef) for m in _biot_savart_symbols(w.grid))
-
-
 def _gradient_coefs(g: TorusGrid, coef: np.ndarray):
     """Coefficients of d1u1, d2u1 and d1u2 for the divergence-free u with
     curl u = w, from the leading columns `coef` of w's spectrum (all n of
-    them, or fewer); d2u2 = -d1u1.  w must have zero mean, as for
-    `biot_savart`: no velocity has a curl with a mean."""
+    them, or fewer); d2u2 = -d1u1.  w must have zero mean: no velocity
+    has a curl with a mean."""
     if not _mean_is_zero(coef):
         raise MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
     cols = slice(0, coef.shape[1])
     k1, k2 = g.k1[:, cols], g.k2[:, cols]
     q = g.inv_ksq[:, cols] * coef
     return -k1 * k2 * q, -k2 * k2 * q, k1 * k1 * q
-
-
-def velocity_gradient(w: SpectralField):
-    """The four components (d1u1, d2u1, d1u2, d2u2) of grad u for the
-    divergence-free u with curl u = w, straight from the vorticity."""
-    d11, d21, d12 = _gradient_coefs(w.grid, w.coef)
-    return tuple(SpectralField(w.grid, c) for c in (d11, d21, d12, -d11))
 
 
 def zero_mean(F: SpectralField) -> SpectralField:

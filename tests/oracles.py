@@ -1,8 +1,10 @@
 """Test oracles: the momentum/induction and flux forms of the tendency, the
 dilation `rescale`, and the `inverse`, `partial_derivative`, `curl`,
-`divergence` and `dealias` they need; fields sampled from a function
-(`coordinates`, `from_function`); the traced peak of a call
-(`traced_peak`).
+`divergence` and `dealias` they need; the velocity field `biot_savart`
+and its four gradient components `velocity_gradient` for a vorticity w,
+which the package reads off w's spectrum without forming them; fields
+sampled from a function (`coordinates`, `from_function`); the traced
+peak of a call (`traced_peak`).
 The solver evolves only the vorticity-current form; no package module
 imports this file.  `classify_growth` and `hgamma_b_norm` wait here for
 the run summary of ROADMAP D4, their first caller."""
@@ -72,6 +74,23 @@ def divergence(v1: SpectralField, v2: SpectralField) -> SpectralField:
     return SpectralField(g, coef)
 
 
+def biot_savart(w: SpectralField):
+    """Divergence-free velocity with curl u = w and zero mean.
+
+    u_hat(xi) = (i xi_2, -i xi_1) w_hat(xi)/|xi|^2, u_hat(0) = 0.
+    """
+    if not w.is_zero_mean():
+        raise sp.MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
+    return tuple(SpectralField(w.grid, m * w.coef) for m in sp._biot_savart_symbols(w.grid))
+
+
+def velocity_gradient(w: SpectralField):
+    """The four components (d1u1, d2u1, d1u2, d2u2) of grad u for the
+    divergence-free u with curl u = w, straight from the vorticity."""
+    d11, d21, d12 = sp._gradient_coefs(w.grid, w.coef)
+    return tuple(SpectralField(w.grid, c) for c in (d11, d21, d12, -d11))
+
+
 def dealias(F: SpectralField) -> SpectralField:
     """Zero every mode with max(|xi_1|, |xi_2|) > n/3 (the 2/3 rule)."""
     return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coef, 0.0))
@@ -81,8 +100,8 @@ def flux_form_rhs(state):
     """Coefficients of the ideal tendency in flux form:
     dw = -i xi . P[FT(u w - b j)], dj = |xi|^2 P[FT(u1 b2 - u2 b1)]."""
     g = state.grid
-    u1, u2 = (inverse(f).values for f in sp.biot_savart(state.w))
-    b1, b2 = (inverse(f).values for f in sp.biot_savart(state.j))
+    u1, u2 = (inverse(f).values for f in biot_savart(state.w))
+    b1, b2 = (inverse(f).values for f in biot_savart(state.j))
     w, j = inverse(state.w).values, inverse(state.j).values
 
     def product(v):
@@ -114,8 +133,8 @@ class PrimitiveState:
 
 
 def primitive_from_state(state: MHDState) -> PrimitiveState:
-    u1, u2 = sp.biot_savart(state.w)
-    b1, b2 = sp.biot_savart(state.j)
+    u1, u2 = biot_savart(state.w)
+    b1, b2 = biot_savart(state.j)
     return PrimitiveState(u1, u2, b1, b2, state.t)
 
 

@@ -241,6 +241,19 @@ class TestGradientLog:
             ratios.append(lp.log_inequality_ratio(ws, 3.0).ratio)
         assert max(ratios) < 10 * ratios[0]
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_velocity_norms_are_those_of_the_velocity(self, n):
+        # ||u||_2 and ||u||_{H^s}, read off Lambda^-1 w, against the sums
+        # over the velocity field itself.
+        g = sp.TorusGrid(n)
+        w = sp.random_band_field(g, np.random.default_rng(n), band=n // 3)
+        rep = lp.log_inequality_ratio(w, 3.0)
+        u = oracles.biot_savart(w)
+        l2_u = np.sqrt(sum(sp.l2_norm_sq(c) for c in u))
+        hs_u = np.sqrt(sum(sp.weighted_l2_norm_sq(c, (1.0 + g.ksq) ** 3.0) for c in u))
+        assert rep.l2_u == pytest.approx(l2_u, rel=1e-14, abs=0.0)
+        assert rep.hs_u == pytest.approx(hs_u, rel=1e-14, abs=0.0)
+
     def test_split_terms_cover_all_blocks(self, grid, part):
         # Each block's gradient sup is read on the grid of its own band.
         w = band_field(grid, seed=41, band=20)
@@ -250,7 +263,7 @@ class TestGradientLog:
             block = sp.SpectralField(grid, part.multiplier(j) * w.coef, True)
             factor = oracles.sampling_factor(block)
             total += np.sqrt(sum(
-                sp.oversampled_values(c, factor) ** 2 for c in sp.velocity_gradient(block)
+                sp.oversampled_values(c, factor) ** 2 for c in oracles.velocity_gradient(block)
             ).max())
         assert rep.term_mid + rep.term_high == pytest.approx(total, rel=1e-12)
 

@@ -211,14 +211,14 @@ class TestBiotSavart:
         w = sp.forward(
             oracles.from_function(grid64, lambda x1, x2: np.sin(x1) * np.sin(x2))
         )
-        u1, u2 = sp.biot_savart(w)
+        u1, u2 = oracles.biot_savart(w)
         x1, x2 = oracles.coordinates(grid64)
         assert np.max(np.abs(oracles.inverse(u1).values - 0.5 * np.sin(x1) * np.cos(x2))) < 1e-12
         assert np.max(np.abs(oracles.inverse(u2).values + 0.5 * np.cos(x1) * np.sin(x2))) < 1e-12
 
     def test_cos_two_x1_closed_form(self, grid64):
         w = sp.forward(oracles.from_function(grid64, lambda x1, x2: np.cos(2 * x1)))
-        u1, u2 = sp.biot_savart(w)
+        u1, u2 = oracles.biot_savart(w)
         x1, _ = oracles.coordinates(grid64)
         assert np.max(np.abs(oracles.inverse(u1).values)) < 1e-13
         assert np.max(np.abs(oracles.inverse(u2).values - 0.5 * np.sin(2 * x1))) < 1e-12
@@ -226,7 +226,7 @@ class TestBiotSavart:
     def test_round_trip_and_divergence_random(self, grid64):
         rng = np.random.default_rng(21)
         w = sp.random_band_field(grid64, rng, band=20)
-        u1, u2 = sp.biot_savart(w)
+        u1, u2 = oracles.biot_savart(w)
         scale = np.max(np.abs(w.coef))
         assert np.max(np.abs(oracles.curl(u1, u2).coef - w.coef)) / scale < 1e-12
         assert np.max(np.abs(oracles.divergence(u1, u2).coef)) / scale < 1e-13
@@ -234,7 +234,7 @@ class TestBiotSavart:
     def test_gradient_l2_equals_curl_l2(self, grid64):
         rng = np.random.default_rng(22)
         w = sp.random_band_field(grid64, rng, band=20, amplitude=3.0)
-        u1, u2 = sp.biot_savart(w)
+        u1, u2 = oracles.biot_savart(w)
         grad_sq = sum(
             sp.l2_norm_sq(oracles.partial_derivative(c, ax)) for c in (u1, u2) for ax in (1, 2)
         )
@@ -243,7 +243,7 @@ class TestBiotSavart:
     def test_nonzero_mean_rejected(self, grid64):
         F = sp.forward(sp.RealField(grid64, 1.0 + np.zeros((64, 64))))
         with pytest.raises(sp.MeanModeError):
-            sp.biot_savart(F)
+            oracles.biot_savart(F)
 
 
 class TestDealias:
@@ -446,7 +446,7 @@ class TestCompactColumns:
         # The rows take |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2, sigma =
         # d1u2 + d2u1; the four squared components agree to round-off.
         w = sp.random_band_field(grid64, np.random.default_rng(8), band=20)
-        grads = sp.velocity_gradient(w)
+        grads = oracles.velocity_gradient(w)
         assert np.array_equal(grads[3].coef, -grads[0].coef)
         vals = [sp.oversampled_values(c, 4) for c in grads]
         four = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
@@ -916,6 +916,21 @@ def test_sobolev_sums_go_through_lambda_norm_sq():
     }
     assert not hasattr(dg, "_curl_sobolev_sq")
     assert list(inspect.signature(lp.sobolev_norm).parameters) == ["f", "s"]
+
+
+def test_velocity_is_read_off_the_vorticity_spectrum():
+    """u and grad u have one rule each, read off w's spectrum: no scope of
+    the package forms the velocity field or its gradient fields (they are
+    test oracles), the stage alone takes the Biot-Savart multipliers, and
+    the Calderon-Zygmund ratio samples p = 2 like 4 and 8, with no
+    Parseval sum of its own."""
+    for name in ("biot_savart", "velocity_gradient"):  # defined or named
+        assert _package_scopes_where(lambda node: name in _names(node)) == {}
+    assert _package_scopes_where(
+        lambda node: isinstance(node, (ast.Name, ast.Attribute))
+        and "_biot_savart_symbols" in _names(node)
+    ) == {"_half_multipliers": ["dynamics.py"]}
+    assert "cz_ratio" not in _package_scopes_where(lambda node: "l2_norm_sq" in _names(node))
 
 
 def _doubles_in_place(node):

@@ -1,15 +1,17 @@
 """Monitored norms, energy budgets, and inequality-ratio diagnostics.
 
-L^2-type quantities are evaluated spectrally (Parseval), ||Lambda^s f||^2
-by `spectral.lambda_norm_sq`; L^p for p != 2 and sup norms are evaluated
-on a physical grid refined by a factor up to `spectral.OVERSAMPLE`,
-chosen from the field's band (12 samples per shortest wavelength, never
-coarser than the collocation grid), because the collocation max of a
-band-limited field underestimates its true sup.  The Calderon-Zygmund
-ratio samples p = 2 like 4 and 8, and reads 1 there to round-off.
-A record of a state whose band exceeds n/6 samples on the OVERSAMPLE
-grid.  The commutator and positivity diagnostics take their products
-from `spectral.product` and their norms from `spectral.lp_norm`.
+L^2-type quantities are evaluated spectrally: the records' squares
+||Lambda^s f||^2 by `spectral.lambda_norm_sq`, every norm, L^2 among
+them, by `spectral.lambda_norm`, which scales with the field.  L^p for
+p != 2 and sup norms are evaluated on a physical grid refined by a
+factor up to `spectral.OVERSAMPLE`, chosen from the field's band (12
+samples per shortest wavelength, never coarser than the collocation
+grid), because the collocation max of a band-limited field
+underestimates its true sup.  The Calderon-Zygmund ratio samples p = 2
+like 4 and 8, and reads 1 there to round-off.  A record of a state
+whose band exceeds n/6 samples on the OVERSAMPLE grid.  The commutator
+and positivity diagnostics take their products from `spectral.product`
+and their norms from `spectral.lp_norm`.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
     w, j = state.w, state.j
     energy_u = sp.lambda_norm_sq(w, -1.0)
     energy_b = sp.lambda_norm_sq(j, -1.0)
-    lp2_w_sq = sp.l2_norm_sq(w)
-    x_val = lp2_w_sq + sp.l2_norm_sq(j)
+    lp2_w_sq = sp.lambda_norm_sq(w, 0.0)
+    x_val = lp2_w_sq + sp.lambda_norm_sq(j, 0.0)
     diss_u, diff_b, hbeta_j = budget_integrand(state, config)
     h2beta_b = sp.lambda_norm_sq(j, 2.0 * config.beta - 1.0)
 
@@ -130,13 +132,13 @@ def gn_ratio(f: SpectralField, beta: float) -> float:
     sp.check_finite("interpolation exponent beta", beta)
     if not beta > 1.0:
         raise ValueError(f"interpolation exponent must exceed 1, got beta={beta}")
-    l2 = sp.l2_norm(f)
+    l2 = sp.lambda_norm(f)
     if l2 == 0.0:
         raise ValueError("zero input")
     if not f.is_zero_mean():
         raise sp.MeanModeError("ratio requires a zero-mean field")
     linf = sp.lp_norm(f, np.inf)
-    hbeta = math.sqrt(sp.lambda_norm_sq(f, beta))
+    hbeta = sp.lambda_norm(f, beta)
     return linf / (l2 ** ((beta - 1.0) / beta) * hbeta ** (1.0 / beta))
 
 
@@ -146,11 +148,12 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
 
     `exponents` is (p1, p2, p3, p4) with 1/p1 + 1/p2 == 1/p3 + 1/p4
     defining p by Hoelder; implemented exponents come from {2, 4, inf}.
-    Returns 0 when the commutator vanishes identically.  Each sum has its
-    terms on one grid: fg and f Lambda^s g have equal bands, and so do f^2
-    and f Lambda^2 f in |grad f|^2 = f Lambda^2 f - Lambda^2(f^2)/2, the
-    carre du champ of the Laplacian (Bakry and Emery, Sem. Probab. XIX,
-    1985).
+    Returns 0 when the commutator vanishes identically.  Of degree 0 in f
+    and in g, it takes both at unit scale (`spectral._binary_order`).
+    Each sum has its terms on one grid: fg and f Lambda^s g have equal
+    bands, and so do f^2 and f Lambda^2 f in |grad f|^2 = f Lambda^2 f -
+    Lambda^2(f^2)/2, the carre du champ of the Laplacian (Bakry and
+    Emery, Sem. Probab. XIX, 1985).
     """
     sp.check_finite("order s", s)
     if not s > 0:
@@ -166,7 +169,7 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     ip = 1.0 / p1 + 1.0 / p2
     p = math.inf if ip == 0.0 else 1.0 / ip
     sp._check_same_grid(f, g)
-
+    f, g = (sp._ldexp(F, -sp._binary_order(F)) for F in (f, g))
     lam_s_g = sp.fractional_laplacian(g, s / 2.0)
     commutator = sp.fractional_laplacian(sp.product(f, g), s / 2.0) - sp.product(f, lam_s_g)
     left = sp.lp_norm(commutator, p)

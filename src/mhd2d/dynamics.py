@@ -264,8 +264,8 @@ def step(state: MHDState, config: SolverConfig, dt: float | None = None) -> MHDS
     if not np.isfinite(x).all():
         raise SimulationAbort(t, "non-finite value in the update", state)
     out = MHDState(t + h, *(SpectralField(g, sp._hermitian_extend(c, g.n)) for c in x))
-    old_norm = sp.l2_norm(state.w)
-    if old_norm > 0.0 and sp.l2_norm(out.w) > 10.0 * old_norm:
+    old_sq = sp.lambda_norm_sq(state.w, 0.0)
+    if old_sq > 0.0 and sp.lambda_norm_sq(out.w, 0.0) > 100.0 * old_sq:
         raise SimulationAbort(t, "vorticity L2 norm grew more than 10x in one step", state)
     return out
 

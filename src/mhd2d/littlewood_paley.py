@@ -124,15 +124,6 @@ def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
     return sp._sampled_norms(lambda: [(terms.copy(),)], [(spec.q,)], counting=True)[0][0]
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """The homogeneous ||Lambda^s f||, by `spectral.lambda_norm_sq`; the
-    mean is left out at s = 0 too."""
-    sp.check_finite("regularity s", s)
-    if s < 0 and not f.is_zero_mean():
-        raise sp.MeanModeError("negative-order homogeneous norm needs zero mean")
-    return math.sqrt(sp.lambda_norm_sq(sp.zero_mean(f), s))
-
-
 # --- paraproducts ------------------------------------------------------------
 
 
@@ -214,7 +205,8 @@ def bony_decompose(f: SpectralField, g: SpectralField):
 def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, sigma2: float) -> float:
     """||fg||_{H^dot(s1+s2-1)} / (||f||_{H^dot s1} ||g||_{H^dot s2}) for
     s1, s2 < 1 with s1 + s2 > 0; zero when f or g vanishes.  fg is
-    `sp.product(f, g)`, on the grid its bands need."""
+    `sp.product(f, g)`, on the grid its bands need, of f and g at unit
+    scale (`spectral._binary_order`): the ratio is of degree 0 in each."""
     if not (sigma1 < 1.0 and sigma2 < 1.0 and sigma1 + sigma2 > 0.0):
         raise ValueError(
             f"need sigma1, sigma2 < 1 and sigma1 + sigma2 > 0, got ({sigma1}, {sigma2})"
@@ -223,10 +215,11 @@ def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, si
     for name, F in (("f", f), ("g", g)):
         if not F.is_zero_mean():
             raise sp.MeanModeError(f"{name} must be zero-mean")
-    denom = sobolev_norm(f, sigma1) * sobolev_norm(g, sigma2)
+    f, g = (sp._ldexp(F, -sp._binary_order(F)) for F in (f, g))
+    denom = sp.lambda_norm(f, sigma1) * sp.lambda_norm(g, sigma2)
     if denom == 0.0:
         return 0.0
-    num = sobolev_norm(sp.zero_mean(sp.product(f, g)), sigma1 + sigma2 - 1.0)
+    num = sp.lambda_norm(sp.zero_mean(sp.product(f, g)), sigma1 + sigma2 - 1.0)
     return num / denom
 
 
@@ -256,8 +249,9 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     for the divergence-free u with curl u = w; requires s > 2.
 
     Both u-norms are read off w's spectrum through Lambda^-1 w, as
-    |u_hat| = |xi|^-1 |w_hat|:
-    ||u||_{H^s}^2 = (2 pi)^2 n^-4 sum (1 + |xi|^2)^s |xi|^-2 |w_hat|^2.
+    |u_hat| = |xi|^-1 |w_hat|, by `spectral.lambda_norm`:
+    ||u||_2 = ||Lambda^-1 w|| and
+    ||u||_{H^s} = ||(1 + |xi|^2)^(s/2) Lambda^-1 w||.
 
     The split reports sup norms of the blocked gradient: the first
     `n_split` dyadic blocks (each controlled by ||w||_inf) and the tail
@@ -272,10 +266,10 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     partition = build_partition(g)
     lam_inv_w = sp.fractional_laplacian(w, -0.5)
     linf_w, grad_sup = sp.vorticity_gradient_sups(w)
-    l2_u = sp.l2_norm(lam_inv_w)
-    # The inhomogeneous weight (1 + |xi|^2)^s, which counts the mean.
+    l2_u = sp.lambda_norm(lam_inv_w)
+    # The Bessel potential (1 + |xi|^2)^(s/2), which keeps the mean.
     sp.check_weight(f"regularity s = {s}", 1.0 + float(g.ksq.max()), s)
-    hs_u = math.sqrt(sp.weighted_l2_norm_sq(lam_inv_w, (1.0 + g.ksq) ** s))
+    hs_u = sp.lambda_norm(SpectralField(g, (1.0 + g.ksq) ** (s / 2.0) * lam_inv_w.coef))
     denom = l2_u + linf_w * math.log2(2.0 + hs_u) + 1.0
     ratio = grad_sup / denom
 
@@ -349,11 +343,10 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     supinf = 0.0
     for k1 in range(k + 1):
         k2 = k - k1
-        weight = np.abs(g.kd1) ** k1 * np.abs(g.kd2) ** k2
-        sup2 = max(sup2, math.sqrt(sp.weighted_l2_norm_sq(f, weight**2)))
         deriv = SpectralField(g, (1j * g.kd1) ** k1 * (1j * g.kd2) ** k2 * f.coef)
+        sup2 = max(sup2, sp.lambda_norm(deriv))
         supinf = max(supinf, sp.lp_norm(deriv, np.inf))
     return BernsteinRatios(
-        l2=sup2 / (scale * sp.l2_norm(f)),
+        l2=sup2 / (scale * sp.lambda_norm(f)),
         linf=supinf / (scale * sp.lp_norm(f, np.inf)),
     )

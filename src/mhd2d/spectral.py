@@ -11,12 +11,17 @@ Conventions used throughout the package:
   a*n^2.
 * Parseval with this normalization:
       ||f||_{L^2}^2 = (2*pi)^2 * n^-4 * sum |coef|^2
-  (the L^2 norm is over [0, 2*pi)^2, not the mean square).
-* Sobolev norms.  `lambda_norm_sq(F, s)` is the one formula for
-  ||Lambda^s f||_{L^2}^2 = (2*pi)^2 * n^-4 * sum |xi|^(2s) |coef|^2, with
-  the weight of `symbol_power`: the xi = 0 term counts only at s = 0 (so
-  s = -1 gives the energy of the u with curl u = f).  The records, the
-  energy budget and the inequality diagnostics all call it.
+  (the L^2 norm is over [0, 2*pi)^2, not the mean square), written out
+  once, in `lambda_norm_sq` at s = 0.
+* Sobolev norms.  `lambda_norm_sq(F, s)` is the package's one Parseval
+  sum, ||Lambda^s f||_{L^2}^2 = (2*pi)^2 * n^-4 * sum |xi|^(2s) |coef|^2,
+  with the weight of `symbol_power`: the xi = 0 term counts only at
+  s = 0 (so s = -1 gives the energy of the u with curl u = f).  The
+  records and the energy budget take their squares from it, which
+  overflow with the state's scale; every L^2 norm takes its root
+  `lambda_norm(F, s)`, which scales with the field: where the plain sum
+  overflows, or falls below n^2 times the smallest normal float for a
+  nonzero F, it sums 2^-e F (`_binary_order`) and scales back by 2^e.
 * Real fields are kept exactly real by doing the physical<->spectral
   round trips with real 1D transforms and extending the half spectrum by
   Hermitian symmetry, which also keeps coef(-xi) == conj(coef(xi))
@@ -63,9 +68,11 @@ Conventions used throughout the package:
   overflows or falls below the smallest normal float (a huge p, or a
   tiny or huge field), one more pass takes it relative to that sup, so
   norms scale with the field and a nonzero field never reads 0.  The
-  squares |grad u|^2 are formed for 2^-e w, with 2^e the order of w's
-  largest mode, so they neither overflow nor underflow, and their norms
-  scale back exactly (`_vorticity_gradient_norms`).
+  squares |grad u|^2 are formed for 2^-e w, with 2^e the binary order
+  of w's largest mode (`_binary_order`), so they neither overflow nor
+  underflow, and their norms scale back exactly
+  (`_vorticity_gradient_norms`).  The commutator and product ratios,
+  of degree 0 in each field, take their fields at that unit scale.
 * Grid factors.  `_grid_factor(n, nodes, cap)` is the one rule for the
   factor f of a sampling grid: the smallest power of two f >= 1 with
   f n >= nodes, at most cap.
@@ -462,26 +469,37 @@ def zero_mean(F: SpectralField) -> SpectralField:
 
 # --- norms -----------------------------------------------------------------
 
-def l2_norm_sq(F: SpectralField) -> float:
-    """||f||_{L^2([0,2pi)^2)}^2 by Parseval."""
-    n = F.grid.n
-    return float(TWO_PI**2 / n**4 * np.sum(np.abs(F.coef) ** 2))
-
-
-def l2_norm(F: SpectralField) -> float:
-    return float(np.sqrt(l2_norm_sq(F)))
-
-
-def weighted_l2_norm_sq(F: SpectralField, weight: np.ndarray) -> float:
-    """sum weight(xi)*|coef(xi)|^2 scaled to an L^2 integral."""
-    n = F.grid.n
-    return float(TWO_PI**2 / n**4 * np.sum(weight * np.abs(F.coef) ** 2))
-
-
 def lambda_norm_sq(F: SpectralField, s: float) -> float:
     """||Lambda^s f||_{L^2}^2 = (2 pi)^2 n^-4 sum |xi|^(2s) |coef|^2, with
-    the weight of `symbol_power`: the xi = 0 term counts only at s = 0."""
-    return weighted_l2_norm_sq(F, symbol_power(F.grid, s))
+    the weight of `symbol_power`: the xi = 0 term counts only at s = 0.
+    The package's one Parseval sum; it overflows to inf silently."""
+    n = F.grid.n
+    with np.errstate(over="ignore"):
+        return float(TWO_PI**2 / n**4 * np.sum(symbol_power(F.grid, s) * np.abs(F.coef) ** 2))
+
+
+def lambda_norm(F: SpectralField, s: float = 0.0) -> float:
+    """||Lambda^s f||_{L^2}, the root of `lambda_norm_sq`, at any scale of
+    F: where that sum overflows, or falls below n^2 times the smallest
+    normal float for a nonzero F, it is taken again for 2^-e F
+    (`_binary_order`) and scaled back by 2^e, exactly."""
+    total = lambda_norm_sq(F, s)
+    if F.coef.size * sys.float_info.min <= total < math.inf or not F.coef.any():
+        return math.sqrt(total)
+    e = _binary_order(F)
+    return math.sqrt(lambda_norm_sq(_ldexp(F, -e), s)) * 2.0**e
+
+
+def _binary_order(F: SpectralField) -> int:
+    """The binary exponent e of max|coef| / n^2, the amplitude of F's
+    largest mode, so that 2^-e F has its largest amplitude in [1/2, 1)
+    (e = 0 for the zero field)."""
+    return math.frexp(float(np.abs(F.coef).max()) / F.grid.n**2)[1]
+
+
+def _ldexp(F: SpectralField, e: int) -> SpectralField:
+    """2^e F, scaled exactly (barring overflow and underflow)."""
+    return SpectralField(F.grid, np.ldexp(F.coef.view(np.float64), e).view(np.complex128))
 
 
 def active_modes(F: SpectralField) -> np.ndarray:
@@ -681,13 +699,13 @@ def _sampled_norms(rows, wanted, held=None, counting=False):
 
 
 def lp_norm(F: SpectralField, p: float) -> float:
-    """L^p norm over [0, 2pi)^2, p in [1, inf]: p = 2 by Parseval,
+    """L^p norm over [0, 2pi)^2, p in [1, inf]: p = 2 by `lambda_norm`,
     otherwise `_sampled_norms` of the field's samples on the grid its band
     needs (module docstring), exact for p = 4 and 8."""
     if not 1.0 <= p <= np.inf:  # NaN fails too
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     if p == 2:
-        return l2_norm(F)
+        return lambda_norm(F)
     cols, factor = _occupied_columns(F)
     return _sampled_norms(functools.partial(_fine_rows, [cols], factor), [(p,)])[0][0]
 
@@ -729,7 +747,7 @@ def _vorticity_gradient_norms(w: SpectralField, w_exponents, grad_exponents):
     max|w_hat| / n^2, the amplitude of w's largest mode: |grad u|^2 then
     neither overflows nor underflows, whatever w's scale, and its norms
     scale back by 2^e exactly."""
-    e = math.frexp(float(np.abs(w.coef).max()) / w.grid.n**2)[1]
+    e = _binary_order(w)
     rows = functools.partial(vorticity_gradient_rows, w, e)
     w_norms, grad_norms = _sampled_norms(rows, (w_exponents, grad_exponents), held=(1, 2))
     return w_norms, [v * 2.0**e for v in grad_norms]
@@ -760,7 +778,7 @@ def random_band_field(
     noise = rng.standard_normal((grid.n, grid.n))
     keep = (grid.kmag <= band) & (grid.ksq > 0)
     coef = np.where(keep, forward(RealField(grid, noise)).coef, 0.0)
-    nrm = l2_norm(SpectralField(grid, coef))
+    nrm = lambda_norm(SpectralField(grid, coef))
     if amplitude == 0.0 or nrm == 0.0:
         return SpectralField.zeros(grid)
     return SpectralField(grid, coef * (amplitude / nrm))

@@ -1,10 +1,12 @@
 """Test oracles: the momentum/induction and flux forms of the tendency, the
 dilation `rescale`, and the `inverse`, `partial_derivative`, `curl`,
-`divergence` and `dealias` they need; the velocity field `biot_savart`
-and its four gradient components `velocity_gradient` for a vorticity w,
-which the package reads off w's spectrum without forming them; fields
-sampled from a function (`coordinates`, `from_function`); the traced
-peak of a call (`traced_peak`).
+`divergence` and `dealias` they need; the plain Parseval sums `l2_norm_sq`,
+`l2_norm` and `weighted_l2_norm_sq`, references for the package's one sum
+`spectral.lambda_norm_sq` and its root `lambda_norm`; the velocity field
+`biot_savart` and its four gradient components `velocity_gradient` for a
+vorticity w, which the package reads off w's spectrum without forming them;
+fields sampled from a function (`coordinates`, `from_function`); the
+traced peak of a call (`traced_peak`).
 The solver evolves only the vorticity-current form; no package module
 imports this file.  `classify_growth` and `hgamma_b_norm` wait here for
 the run summary of ROADMAP D4, their first caller."""
@@ -72,6 +74,22 @@ def divergence(v1: SpectralField, v2: SpectralField) -> SpectralField:
     g = v1.grid
     coef = 1j * (g.kd1 * v1.coef + g.kd2 * v2.coef)
     return SpectralField(g, coef)
+
+
+def l2_norm_sq(F: SpectralField) -> float:
+    """||f||_{L^2([0,2pi)^2)}^2 by Parseval."""
+    n = F.grid.n
+    return float(sp.TWO_PI**2 / n**4 * np.sum(np.abs(F.coef) ** 2))
+
+
+def l2_norm(F: SpectralField) -> float:
+    return float(np.sqrt(l2_norm_sq(F)))
+
+
+def weighted_l2_norm_sq(F: SpectralField, weight: np.ndarray) -> float:
+    """sum weight(xi)*|coef(xi)|^2 scaled to an L^2 integral."""
+    n = F.grid.n
+    return float(sp.TWO_PI**2 / n**4 * np.sum(weight * np.abs(F.coef) ** 2))
 
 
 def biot_savart(w: SpectralField):
@@ -259,7 +277,7 @@ def hgamma_b_norm(state: MHDState, gamma: float) -> float:
     """||Lambda^gamma b|| from the current j = curl b: on the lattice it is
     ||Lambda^(gamma-1) j||, the weight |xi|^(2 gamma - 2)."""
     j = state.j
-    return math.sqrt(sp.weighted_l2_norm_sq(j, sp.symbol_power(j.grid, gamma - 1.0)))
+    return math.sqrt(weighted_l2_norm_sq(j, sp.symbol_power(j.grid, gamma - 1.0)))
 
 
 def band(F: SpectralField) -> int:

@@ -1,6 +1,7 @@
 """Closed-form tests for the inequality ratios, the growth and regime tags,
 and the norms of monitored quantities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -225,7 +226,6 @@ class TestZeroMeanPreconditions:
                 lambda m, z: dg.commutator_ratio(z, m, 0.5, (2, np.inf, 2, np.inf)),
                 id="commutator_ratio-s-below-1",
             ),
-            pytest.param(lambda m, z: lp.sobolev_norm(m, -0.5), id="sobolev_norm-negative-s"),
             pytest.param(lambda m, z: lp.bony_decompose(m, z), id="bony_decompose"),
             pytest.param(
                 lambda m, z: lp.product_estimate_ratio(m, z, 0.5, 0.5), id="product_estimate_ratio"
@@ -278,9 +278,9 @@ FLOAT_GUARDS = {
         "order s must be finite", f"exponent gamma = 5e\\+299: .* {OVERFLOW}",
         lambda g, f, b, x: dg.commutator_ratio(f, f, x, (4, 4, 4, 4)),
     ),
-    "sobolev_norm": (
-        "regularity s must be finite", f"exponent gamma = 1e\\+300: .* {OVERFLOW}",
-        lambda g, f, b, x: lp.sobolev_norm(f, x),
+    "lambda_norm": (
+        "exponent gamma must be finite", f"exponent gamma = 1e\\+300: .* {OVERFLOW}",
+        lambda g, f, b, x: sp.lambda_norm(f, x),
     ),
     "log_inequality_ratio": (
         "regularity s must be finite", f"regularity s = 1e\\+300: .* {OVERFLOW}",
@@ -499,14 +499,52 @@ def test_a_subnormal_power_mean_is_taken_relative_to_the_sup():
         assert sp.lp_norm(scaled, 8) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("scale", [1e-40, 1e40, 1e-170, 1e160])
-def test_cz_ratio_does_not_depend_on_scale(scale):
-    # |w|^8 and |grad u|^8 under- or overflow at these scales, and from
-    # 1e-170 on, ||w||_2^2 and |grad u|^2 do.
-    w = sp.random_band_field(sp.TorusGrid(64), np.random.default_rng(7), band=12)
-    scaled = sp.SpectralField(w.grid, scale * w.coef)
-    for p in (2, 4, 8):
-        assert dg.cz_ratio(scaled, p) == pytest.approx(dg.cz_ratio(w, p), rel=1e-13, abs=0.0)
+def _band12(seed):
+    return sp.random_band_field(sp.TorusGrid(64), np.random.default_rng(seed), band=12)
+
+
+# Norms and ratios of band-12 fields at n = 64 (f, g of seeds 5, 6; the
+# Calderon-Zygmund ratio's w of seed 7), each with its degree d in the
+# fields' scale c: call(c f, c g, c w) / c^d is the same at every c.
+# |f|^2 and |f g| under- or overflow at these scales, and |w|^8 and
+# |grad u|^8 from 1e-40 on.
+SCALE_FREE_CALLS = {
+    "lp_norm-p2": (1, lambda f, g, w: sp.lp_norm(f, 2)),
+    "besov_norm-p2": (1, lambda f, g, w: lp.besov_norm(f, lp.BesovSpec(0.5, 2, 2))),
+    "gn_ratio": (0, lambda f, g, w: dg.gn_ratio(f, 1.5)),
+    "commutator_ratio-4444": (0, lambda f, g, w: dg.commutator_ratio(f, g, 1, (4, 4, 4, 4))),
+    "commutator_ratio-2inf": (
+        0, lambda f, g, w: dg.commutator_ratio(f, g, 1, (2, np.inf, np.inf, 2))
+    ),
+    "product_estimate_ratio": (0, lambda f, g, w: lp.product_estimate_ratio(f, g, 0.5, 0.5)),
+    "bernstein_ratio-l2": (0, lambda f, g, w: lp.bernstein_ratio(lp.dyadic_block(f, 3), 3, 1).l2),
+    "bernstein_ratio-linf": (
+        0, lambda f, g, w: lp.bernstein_ratio(lp.dyadic_block(f, 3), 3, 1).linf
+    ),
+    **{f"cz_ratio-p{p}": (0, lambda f, g, w, p=p: dg.cz_ratio(w, p)) for p in (2, 4, 8)},
+}
+
+
+@pytest.mark.parametrize(
+    "name, scale",
+    [(name, c) for name in SCALE_FREE_CALLS if not name.startswith("cz_ratio")
+     for c in (1e-170, 1e-160, 1e160)]
+    + [(name, c) for name in SCALE_FREE_CALLS if name.startswith("cz_ratio")
+       for c in (1e-40, 1e40, 1e-170, 1e160)],
+)
+def test_ratios_do_not_depend_on_scale(name, scale):
+    degree, call = SCALE_FREE_CALLS[name]
+    fields = [_band12(seed) for seed in (5, 6, 7)]
+    scaled = [sp.SpectralField(F.grid, scale * F.coef) for F in fields]
+    want = call(*fields)
+    assert call(*scaled) / scale**degree == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_log_inequality_report_is_finite_at_a_huge_scale():
+    # ||u||_{H^s} of 1e160 f overflows as a plain sum of squares.
+    f = _band12(5)
+    report = lp.log_inequality_ratio(sp.SpectralField(f.grid, 1e160 * f.coef), 3)
+    assert all(math.isfinite(v) for v in dataclasses.astuple(report))
 
 
 @pytest.mark.parametrize("scale", [1e-40, 1e40, 1e-160, 1e-170])

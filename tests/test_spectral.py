@@ -2,7 +2,6 @@
 
 import ast
 import dataclasses
-import inspect
 import math
 import pickle
 import re
@@ -129,7 +128,7 @@ class TestTransform:
         g = sp.TorusGrid(n)
         f = sp.RealField(g, np.random.default_rng(seed).standard_normal((n, n)))
         lhs = (2 * np.pi) ** 2 * np.mean(f.values**2)
-        rhs = sp.l2_norm_sq(sp.forward(f))
+        rhs = oracles.l2_norm_sq(sp.forward(f))
         assert abs(lhs - rhs) / lhs < 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -236,9 +235,9 @@ class TestBiotSavart:
         w = sp.random_band_field(grid64, rng, band=20, amplitude=3.0)
         u1, u2 = oracles.biot_savart(w)
         grad_sq = sum(
-            sp.l2_norm_sq(oracles.partial_derivative(c, ax)) for c in (u1, u2) for ax in (1, 2)
+            oracles.l2_norm_sq(oracles.partial_derivative(c, ax)) for c in (u1, u2) for ax in (1, 2)
         )
-        assert abs(grad_sq - sp.l2_norm_sq(w)) / sp.l2_norm_sq(w) < 1e-13
+        assert abs(grad_sq - oracles.l2_norm_sq(w)) / oracles.l2_norm_sq(w) < 1e-13
 
     def test_nonzero_mean_rejected(self, grid64):
         F = sp.forward(sp.RealField(grid64, 1.0 + np.zeros((64, 64))))
@@ -346,6 +345,27 @@ class TestNorms:
         monkeypatch.setattr(np.fft, "irfft", transform)
         with pytest.raises(ValueError, match="exponent p"):
             sp.lp_norm(F, p)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_lambda_norm_is_the_root_of_lambda_norm_sq(self, monkeypatch, n):
+        # On a field of normal scale, and on the zero field, the rescaled
+        # sum never runs; where the plain sum of 2^-600 F underflows and
+        # that of 2^600 F overflows, it scales back to the same bits.
+        g = sp.TorusGrid(n)
+        F = sp.random_band_field(g, np.random.default_rng(n), band=n // 3)
+        scaled = {e: sp._ldexp(F, e) for e in (-600, 600)}
+
+        def rescale(*args):
+            raise AssertionError("the rescaled sum ran")
+
+        for s in (-1.0, -0.5, 0.0, 0.5, 1.4):
+            with monkeypatch.context() as m:
+                m.setattr(sp, "_ldexp", rescale)
+                root = sp.lambda_norm(F, s)
+                assert root == math.sqrt(sp.lambda_norm_sq(F, s))
+                assert sp.lambda_norm(sp.SpectralField.zeros(g), s) == 0.0
+            for e, G in scaled.items():
+                assert sp.lambda_norm(G, s) == math.ldexp(root, e)
 
     def test_random_band_field_rejects_negative_amplitude(self, grid64):
         with pytest.raises(ValueError, match="amplitude"):
@@ -901,21 +921,27 @@ def _named_outside_spectral(name):
     return {scope: files for scope, files in found.items() if files}
 
 
-def test_sobolev_sums_go_through_lambda_norm_sq():
-    """||Lambda^s f||^2 has one formula, `spectral.lambda_norm_sq`.  Outside
-    `spectral`, the |xi|^(2s) weight is built only for the integrating
-    factors, the inverse Laplacian is read nowhere, and a weight is summed
-    by hand only where it is no power of |xi|: the inhomogeneous
-    (1 + |xi|^2)^s of the log inequality and Bernstein's derivative
-    weights."""
+def test_one_parseval_sum():
+    """Every L^2 norm is `spectral.lambda_norm_sq` or its root
+    `lambda_norm`: the plain sums are test oracles, no scope of the
+    package defines or names them or `sobolev_norm`, the |xi|^(2s) weight
+    is built outside `spectral` only for the integrating factors, the
+    inverse Laplacian is read nowhere outside it, and the one scale rule,
+    the binary order of a field's largest mode, is read in
+    `_binary_order` alone.  A Parseval sum carries the n^-4 of the
+    normalization, which only `lambda_norm_sq` writes out."""
+    for name in ("l2_norm_sq", "l2_norm", "weighted_l2_norm_sq", "sobolev_norm"):
+        assert _package_scopes_where(lambda node: name in _names(node)) == {}
+    assert _package_scopes_where(
+        lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant) and node.right.value == 4
+    ) == {"lambda_norm_sq": ["spectral.py"]}
     assert _named_outside_spectral("symbol_power") == {"_integrating_factors": ["dynamics.py"]}
     assert _named_outside_spectral("inv_ksq") == {}
-    assert _named_outside_spectral("weighted_l2_norm_sq") == {
-        "log_inequality_ratio": ["littlewood_paley.py"],
-        "bernstein_ratio": ["littlewood_paley.py"],
-    }
+    assert _package_scopes_where(
+        lambda node: isinstance(node, ast.Call) and "frexp" in _names(node.func)
+    ) == {"_binary_order": ["spectral.py"]}
     assert not hasattr(dg, "_curl_sobolev_sq")
-    assert list(inspect.signature(lp.sobolev_norm).parameters) == ["f", "s"]
 
 
 def test_velocity_is_read_off_the_vorticity_spectrum():
@@ -930,7 +956,9 @@ def test_velocity_is_read_off_the_vorticity_spectrum():
         lambda node: isinstance(node, (ast.Name, ast.Attribute))
         and "_biot_savart_symbols" in _names(node)
     ) == {"_half_multipliers": ["dynamics.py"]}
-    assert "cz_ratio" not in _package_scopes_where(lambda node: "l2_norm_sq" in _names(node))
+    assert "cz_ratio" not in _package_scopes_where(
+        lambda node: _names(node) & {"lambda_norm_sq", "lambda_norm"}
+    )
 
 
 def _doubles_in_place(node):

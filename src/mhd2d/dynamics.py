@@ -103,7 +103,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class MHDState:
     """(vorticity, current) pair at a finite time t; both zero-mean and
-    dealiased (no coefficient outside the grid's dealias_mask)."""
+    dealiased (no coefficient with max(|xi_1|, |xi_2|) > n//3, the grid's
+    `dealias_cutoff`)."""
 
     t: float
     w: SpectralField
@@ -139,7 +140,8 @@ def _half_multipliers(g: TorusGrid):
     -(d1^2 - d2^2), -d1 d2 and -Lap: k1^2 - k2^2, k1 k2 and |xi|^2.  All
     vanish at xi = 0, so means stay exactly 0; the last three are real and
     even in xi, so they keep a half spectrum Hermitian."""
-    k1, k2, ksq, mask = (_block(g, a) for a in (g.k1, g.k2, g.ksq, g.dealias_mask))
+    k1, k2, ksq = g.k[:, None], _block(g, g.k), _block(g, g.ksq)
+    mask = np.abs(k1) <= g.dealias_cutoff
     bs = (_block(g, m) for m in sp._biot_savart_symbols(g))
     even = ((k1 * k1 - k2 * k2) * mask, k1 * k2 * mask, ksq * mask)
     return tuple(sp._frozen(m) for m in (*bs, *even))

@@ -50,22 +50,17 @@ def _bump_profile(r: np.ndarray) -> np.ndarray:
 
 
 class DyadicPartition:
-    """Multipliers Phi_j, j = 0 .. j_max, on the annuli A_j for one grid.
-    Each call builds them afresh; `build_partition` is the cached one."""
+    """Multipliers Phi_j, j = 0 .. j_max, on the annuli A_j for one grid:
+    `phi[j]` is Phi_j on the lattice.  Each call builds them afresh;
+    `build_partition` is the cached one."""
 
     def __init__(self, grid: TorusGrid):
         self.j_max = math.ceil(math.log2(grid.n / 2))
-        raw = np.stack([_bump_profile(grid.kmag / 2.0**j) for j in self.resolved()])
+        kmag = np.sqrt(grid.ksq)
+        raw = np.stack([_bump_profile(kmag / 2.0**j) for j in range(self.j_max + 1)])
         total = raw.sum(axis=0)
         scale = np.where(total > 0, total, 1.0)
         self.phi = sp._frozen(np.where(grid.ksq > 0, raw / scale, 0.0))
-
-    def multiplier(self, j: int) -> np.ndarray | None:
-        """Phi_j on the lattice, or None when A_j misses the lattice."""
-        return self.phi[j] if 0 <= j <= self.j_max else None
-
-    def resolved(self) -> range:
-        return range(self.j_max + 1)
 
 
 @cache
@@ -79,20 +74,20 @@ def nonzero_blocks(f: SpectralField) -> list[SpectralField | None]:
     """block_j f for j = 0 .. j_max, with None for every block that is
     exactly the zero field: no nonzero coefficient of f has
     1/2 < |xi|/2^j < 2, the support test of the multiplier's bump."""
-    r = f.grid.kmag[f.coef != 0]
+    r = np.sqrt(f.grid.ksq[f.coef != 0])
     return [
         dyadic_block(f, j) if _in_support(r / 2.0**j).any() else None
-        for j in build_partition(f.grid).resolved()
+        for j in range(build_partition(f.grid).j_max + 1)
     ]
 
 
 def dyadic_block(f: SpectralField, j: int) -> SpectralField:
     """Frequency-localized piece Phi_j f (the zero field when A_j misses
     the lattice)."""
-    mult = build_partition(f.grid).multiplier(j)
-    if mult is None:
+    partition = build_partition(f.grid)
+    if not 0 <= j <= partition.j_max:
         return SpectralField.zeros(f.grid)
-    return SpectralField(f.grid, mult * f.coef)
+    return SpectralField(f.grid, partition.phi[j] * f.coef)
 
 
 @dataclass(frozen=True)
@@ -326,7 +321,7 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     active = sp.active_modes(f)
     if not active.any():
         raise ValueError("zero input")
-    radius = g.kmag[active]
+    radius = np.sqrt(g.ksq[active])
     if support == "annulus":
         if not 2.0 ** (j - 1) <= radius.min() <= radius.max() <= 2.0 ** (j + 1):
             raise ValueError(f"spectrum not supported in the dyadic annulus at scale 2^{j}")
@@ -343,7 +338,7 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     supinf = 0.0
     for k1 in range(k + 1):
         k2 = k - k1
-        deriv = SpectralField(g, (1j * g.kd1) ** k1 * (1j * g.kd2) ** k2 * f.coef)
+        deriv = SpectralField(g, (1j * g.kd[:, None]) ** k1 * (1j * g.kd) ** k2 * f.coef)
         sup2 = max(sup2, sp.lambda_norm(deriv))
         supinf = max(supinf, sp.lp_norm(deriv, np.inf))
     return BernsteinRatios(

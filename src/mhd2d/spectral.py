@@ -203,9 +203,15 @@ class TorusGrid:
     n must be a power of two, n >= 8.  One grid per n for the life of the
     process: TorusGrid(n) builds a grid once and returns it ever after, so
     identity is equality, and every cache of lattice data keys on the grid
-    itself.  `k` holds the n integer wavenumbers in FFT order; each
-    lattice array is built on first read, so a grid that only carries
-    samples (the 2n grid of `bony_decompose`'s parts) costs no lattice.
+    itself.  The lattice is one vector: `k` holds the n integer
+    wavenumbers in FFT order, xi_1 = k[:, None] on array axis 0 and
+    xi_2 = k on axis 1, and every multiplier broadcasts them.  `kd`, set
+    with `k`, is k with the Nyquist entry -n/2 zeroed: odd-order
+    multipliers annihilate the Nyquist lines so that they map
+    Hermitian-symmetric arrays to Hermitian-symmetric arrays.
+    `ksq` = |xi|^2 is the one lattice array, built on first read (the
+    base of `symbol_power`), so a grid that only carries samples (the 2n
+    grid of `bony_decompose`'s parts) costs no lattice.
     """
 
     _live = {}
@@ -218,50 +224,14 @@ class TorusGrid:
         grid = super().__new__(cls)
         grid.n = n
         grid.k = _frozen(np.fft.fftfreq(n, 1.0 / n))  # exact integers as floats
+        grid.kd = _frozen(np.where(np.abs(grid.k) == n // 2, 0.0, grid.k))
         grid.dealias_cutoff = n // 3
         cls._live[n] = grid
         return grid
 
     @functools.cached_property
-    def k1(self) -> np.ndarray:
-        """xi_1 on the lattice (array axis 0)."""
-        return _frozen(np.broadcast_to(self.k[:, None], (self.n, self.n)))
-
-    @functools.cached_property
-    def k2(self) -> np.ndarray:
-        """xi_2 on the lattice (array axis 1)."""
-        return _frozen(np.broadcast_to(self.k, (self.n, self.n)))
-
-    @functools.cached_property
     def ksq(self) -> np.ndarray:
-        return _frozen(self.k1**2 + self.k2**2)
-
-    @functools.cached_property
-    def kmag(self) -> np.ndarray:
-        return _frozen(np.sqrt(self.ksq))
-
-    @functools.cached_property
-    def inv_ksq(self) -> np.ndarray:
-        """1/|xi|^2, and 0 at xi = 0: `symbol_power` at gamma = -1."""
-        return symbol_power(self, -1.0)
-
-    # Odd-order multipliers annihilate the Nyquist line so that they map
-    # Hermitian-symmetric arrays to Hermitian-symmetric arrays.
-    @functools.cached_property
-    def kd1(self) -> np.ndarray:
-        """xi_1 with the Nyquist row zeroed."""
-        return _frozen(np.where(np.abs(self.k1) == self.n // 2, 0.0, self.k1))
-
-    @functools.cached_property
-    def kd2(self) -> np.ndarray:
-        """xi_2 with the Nyquist column zeroed."""
-        return _frozen(np.where(np.abs(self.k2) == self.n // 2, 0.0, self.k2))
-
-    @functools.cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """max(|xi_1|, |xi_2|) <= dealias_cutoff on the lattice."""
-        keep = np.abs(self.k) <= self.dealias_cutoff
-        return _frozen(keep[:, None] & keep)
+        return _frozen(self.k[:, None] ** 2 + self.k**2)
 
     def __reduce__(self):
         # A copy or an unpickled grid is the one grid of its n.
@@ -325,8 +295,9 @@ class SpectralField:
 
     @property
     def dealiased(self) -> bool:
-        """True if every coefficient outside the grid's dealias_mask is
-        exactly zero; transform round-off there counts."""
+        """True if every coefficient with max(|xi_1|, |xi_2|) > n//3 (the
+        grid's dealias_cutoff, the 2/3 rule) is exactly zero; transform
+        round-off there counts."""
         n, c = self.grid.n, self.grid.dealias_cutoff
         # Rows, then columns, with max(|xi_1|, |xi_2|) > n/3.
         return not (self.coef[c + 1 : n - c].any() or self.coef[:, c + 1 : n - c].any())
@@ -444,7 +415,8 @@ def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
 
 def _biot_savart_symbols(g: TorusGrid):
     """(i xi_2, -i xi_1)/|xi|^2, and 0 at xi = 0: the zero-mean-velocity gauge."""
-    return 1j * g.kd2 * g.inv_ksq, -1j * g.kd1 * g.inv_ksq
+    inv = symbol_power(g, -1.0)
+    return 1j * g.kd * inv, -1j * g.kd[:, None] * inv
 
 
 def _gradient_coefs(g: TorusGrid, coef: np.ndarray):
@@ -454,9 +426,9 @@ def _gradient_coefs(g: TorusGrid, coef: np.ndarray):
     has a curl with a mean."""
     if not _mean_is_zero(coef):
         raise MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
-    cols = slice(0, coef.shape[1])
-    k1, k2 = g.k1[:, cols], g.k2[:, cols]
-    q = g.inv_ksq[:, cols] * coef
+    width = coef.shape[1]
+    k1, k2 = g.k[:, None], g.k[:width]
+    q = symbol_power(g, -1.0)[:, :width] * coef
     return -k1 * k2 * q, -k2 * k2 * q, k1 * k1 * q
 
 
@@ -776,7 +748,7 @@ def random_band_field(
     if not 1 <= band <= grid.n // 2 - 1:
         raise ValueError(f"band must lie in [1, n/2-1], got {band}")
     noise = rng.standard_normal((grid.n, grid.n))
-    keep = (grid.kmag <= band) & (grid.ksq > 0)
+    keep = (np.sqrt(grid.ksq) <= band) & (grid.ksq > 0)
     coef = np.where(keep, forward(RealField(grid, noise)).coef, 0.0)
     nrm = lambda_norm(SpectralField(grid, coef))
     if amplitude == 0.0 or nrm == 0.0:

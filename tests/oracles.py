@@ -53,9 +53,9 @@ def inverse(F: SpectralField) -> sp.RealField:
 def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
     """d/dx_axis via the multiplier i*xi_axis (axis is 1 or 2)."""
     if axis == 1:
-        k = F.grid.kd1
+        k = F.grid.kd[:, None]
     elif axis == 2:
-        k = F.grid.kd2
+        k = F.grid.kd
     else:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     return SpectralField(F.grid, 1j * k * F.coef)
@@ -65,14 +65,14 @@ def curl(v1: SpectralField, v2: SpectralField) -> SpectralField:
     """Scalar curl d1 v2 - d2 v1."""
     sp._check_same_grid(v1, v2)
     g = v1.grid
-    coef = 1j * (g.kd1 * v2.coef - g.kd2 * v1.coef)
+    coef = 1j * (g.kd[:, None] * v2.coef - g.kd * v1.coef)
     return SpectralField(g, coef)
 
 
 def divergence(v1: SpectralField, v2: SpectralField) -> SpectralField:
     sp._check_same_grid(v1, v2)
     g = v1.grid
-    coef = 1j * (g.kd1 * v1.coef + g.kd2 * v2.coef)
+    coef = 1j * (g.kd[:, None] * v1.coef + g.kd * v2.coef)
     return SpectralField(g, coef)
 
 
@@ -111,7 +111,8 @@ def velocity_gradient(w: SpectralField):
 
 def dealias(F: SpectralField) -> SpectralField:
     """Zero every mode with max(|xi_1|, |xi_2|) > n/3 (the 2/3 rule)."""
-    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coef, 0.0))
+    keep = np.abs(F.grid.k) <= F.grid.dealias_cutoff
+    return SpectralField(F.grid, np.where(keep[:, None] & keep, F.coef, 0.0))
 
 
 def flux_form_rhs(state):
@@ -125,7 +126,7 @@ def flux_form_rhs(state):
     def product(v):
         return dealias(sp.forward(sp.RealField(g, v))).coef
 
-    dw = -1j * (g.k1 * product(u1 * w - b1 * j) + g.k2 * product(u2 * w - b2 * j))
+    dw = -1j * (g.k[:, None] * product(u1 * w - b1 * j) + g.k * product(u2 * w - b2 * j))
     return dw, g.ksq * product(u1 * b2 - u2 * b1)
 
 
@@ -160,8 +161,9 @@ def leray_project(v1: SpectralField, v2: SpectralField):
     """Remove the gradient part: v - xi (xi.v)/|xi|^2; the mean is kept."""
     sp._check_same_grid(v1, v2)
     g = v1.grid
-    d = (g.k1 * v1.coef + g.k2 * v2.coef) * g.inv_ksq
-    return SpectralField(g, v1.coef - g.k1 * d), SpectralField(g, v2.coef - g.k2 * d)
+    k1, k2 = g.k[:, None], g.k
+    d = (k1 * v1.coef + k2 * v2.coef) * sp.symbol_power(g, -1.0)
+    return SpectralField(g, v1.coef - k1 * d), SpectralField(g, v2.coef - k2 * d)
 
 
 def primitive_rhs(pstate: PrimitiveState, config: SolverConfig) -> PrimitiveState:
@@ -231,7 +233,7 @@ def rescale(state: MHDState, lam: int, gamma: float, tail_tol: float = 0.0) -> M
     g = state.grid
     n = g.n
     cutoff = g.dealias_cutoff
-    k = g.k1[:, 0].astype(int)
+    k = g.k.astype(int)
     inside = np.abs(k) * lam <= cutoff
     keep = np.flatnonzero(inside)
     target = (k[keep] * lam) % n
@@ -283,7 +285,7 @@ def hgamma_b_norm(state: MHDState, gamma: float) -> float:
 def band(F: SpectralField) -> int:
     """Largest |xi_1| or |xi_2| of a nonzero coefficient of F (0 for the
     zero field), from the whole lattice."""
-    comp = np.maximum(np.abs(F.grid.k1), np.abs(F.grid.k2))
+    comp = np.maximum(np.abs(F.grid.k[:, None]), np.abs(F.grid.k))
     return int(np.max(comp, where=F.coef != 0, initial=0))
 
 

@@ -169,7 +169,7 @@ class TestVorticityRHS:
         # psi and a below hold the conjugates.
         state = band_state(n, kind)
         dw, dj = (f.coef for f in dyn.vorticity_rhs(state))
-        inv = state.grid.inv_ksq
+        inv = sp.symbol_power(state.grid, -1.0)
         psi, a = (np.conj(f.coef) * inv for f in (state.w, state.j))
         rates = {
             "energy": psi * dw + a * dj,
@@ -178,6 +178,28 @@ class TestVorticityRHS:
         }
         for name, terms in rates.items():
             assert abs(terms.sum().real) <= 1e-13 * np.abs(terms).sum(), name
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_enstrophy_rate_is_the_two_dimensional_cross_term(self, n, seed):
+        # In 2D the transport terms of d/dt (||w||^2 + ||j||^2) / 2 cancel,
+        # and the ideal tendency leaves only the integral of j Q, with
+        # Q = 2 d1b1 (d2u1 + d1u2) - 2 d1u1 (d2b1 + d1b2).  The truncated
+        # tendency keeps it exactly: its rate is that of the Galerkin
+        # system, and the collocation mean of the cubic j Q is exact, since
+        # 3 (n//3) < n.
+        state = dyn.make_initial(sp.TorusGrid(n), "random-band", seed, amplitude=2.0,
+                                 band=n // 3)
+        dw, dj = (f.coef for f in dyn.vorticity_rhs(state))
+        terms = np.conj(state.w.coef) * dw + np.conj(state.j.coef) * dj
+        scale = sp.TWO_PI**2 / n**4
+        d11u, d21u, d12u, _, d11b, d21b, d12b, _ = (
+            oracles.inverse(f).values
+            for curl in (state.w, state.j) for f in oracles.velocity_gradient(curl)
+        )
+        q = 2.0 * d11b * (d21u + d12u) - 2.0 * d11u * (d21b + d12b)
+        rate = sp.TWO_PI**2 * np.mean(oracles.inverse(state.j).values * q)
+        assert abs(scale * terms.sum().real - rate) <= 1e-13 * scale * np.abs(terms).sum()
 
     def test_fft_budget(self, monkeypatch):
         # 4 inverse + 3 forward transforms per stage, each a complex pass

@@ -48,10 +48,11 @@ class TestTorusGrid:
     @pytest.mark.parametrize("n", [8, 16, 64, 256])
     def test_wavenumber_lattice_is_bijective(self, n):
         g = sp.TorusGrid(n)
-        pairs = set(zip(g.k1.ravel().astype(int), g.k2.ravel().astype(int)))
+        k1, k2 = np.meshgrid(g.k, g.k, indexing="ij")
+        pairs = set(zip(k1.ravel().astype(int), k2.ravel().astype(int)))
         assert len(pairs) == n * n
         assert (0, 0) in pairs
-        assert g.k1.min() == -n // 2 and g.k1.max() == n // 2 - 1
+        assert k1.min() == -n // 2 and k1.max() == n // 2 - 1
 
     def test_grids_with_equal_n_are_interchangeable(self):
         assert sp.TorusGrid(16) == sp.TorusGrid(16)
@@ -747,13 +748,13 @@ class TestProduct:
         values = np.prod([sp.oversampled_values(F, 4) for F in fields], axis=0)
         ref = sp.forward(sp.RealField(sp.TorusGrid(4 * n), values))
         m = P.grid.n
-        k = P.grid.k1[:, 0].astype(int)
+        k = P.grid.k.astype(int)
         restricted = ref.coef[np.ix_(k % (4 * n), k % (4 * n))] * (m / (4 * n)) ** 2
         scale = np.max(np.abs(restricted))
         assert np.max(np.abs(P.coef - restricted)) <= 1e-14 * scale
         band = sum(oracles.band(F) for F in fields)
         assert m // 2 - 1 >= band > m // 4 - 1 or m == n
-        outside = np.maximum(np.abs(P.grid.k1), np.abs(P.grid.k2)) > band
+        outside = np.maximum(np.abs(P.grid.k[:, None]), np.abs(P.grid.k)) > band
         assert not P.coef[outside].any()
 
     def test_a_field_given_twice_is_sampled_once(self, monkeypatch):
@@ -789,7 +790,7 @@ class TestSum:
 class TestActiveBand:
     @staticmethod
     def brute_force(F):
-        comp = np.maximum(np.abs(F.grid.k1), np.abs(F.grid.k2))
+        comp = np.maximum(np.abs(F.grid.k[:, None]), np.abs(F.grid.k))
         return int(np.max(comp, where=sp.active_modes(F), initial=0))
 
     @pytest.mark.parametrize("n", [8, 32, 256])
@@ -878,6 +879,32 @@ def test_only_torus_grid_builds_the_lattice():
     imported name."""
     builders = _package_scopes_where(lambda node: "fftfreq" in _names(node))
     assert builders == {"TorusGrid.__new__": ["spectral.py"]}
+
+
+def test_the_lattice_is_one_vector_and_ksq():
+    """Every multiplier broadcasts `k` (or its Nyquist-free twin `kd`):
+    the package reads no other lattice coordinate array of the grid and
+    no per-block accessor of the partition, and `ksq` is the one lattice
+    array the grid caches, also after a step, a record and a log
+    inequality have run on it."""
+    gone = {"k1", "k2", "kd1", "kd2", "kmag", "inv_ksq", "dealias_mask", "multiplier", "resolved"}
+    assert _package_scopes_where(lambda node: isinstance(node, ast.Attribute)
+                                 and node.attr in gone) == {}
+    tree = ast.parse(Path(sp.__file__).read_text())
+    (grid_class,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TorusGrid"]
+    cached = [
+        node.name for node in grid_class.body
+        if isinstance(node, ast.FunctionDef)
+        and any("cached_property" in _names(d) for d in node.decorator_list)
+    ]
+    assert cached == ["ksq"]
+
+    g = sp.TorusGrid(64)
+    config = dyn.SolverConfig(alpha=1.0, beta=1.0, nu=0.05, eta=0.05, n=64, dt=1e-3)
+    state = dyn.step(dyn.make_initial(g, "random-band", seed=0, band=8), config)
+    dg.compute_record(state, config)
+    lp.log_inequality_ratio(state.w, 3.0)
+    assert [name for name, v in vars(g).items() if np.ndim(v) == 2] == ["ksq"]
 
 
 def test_diagnostics_build_no_fine_grid():

@@ -6,7 +6,10 @@ One line per output, `<workload> <entry> <item> <sha256>`:
 * every record row, and the final w and j, of `rb128-t12-dense` pool
   entries 0-2 and of `ot256-sparse` entries 0-1, each a full episode;
 * each `lp128-panel` output on the inputs of seeds 2024-2031, with the
-  Bony parts hashed by the bytes of their samples.
+  Bony parts hashed by the bytes of their samples, and on the same inputs
+  every field of the logarithmic inequality's report (`log_report`) and
+  of both Bernstein ratios (`bernstein_ratios`), of which the panel keeps
+  one field each.
 
 Floats are hashed by their float64 bytes, so two trees print the same
 line only where the values agree to the bit.  The workloads come from
@@ -18,6 +21,7 @@ from this checkout's src/.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -28,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from mhd2d import dynamics  # noqa: E402
+from mhd2d import littlewood_paley as lp  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 RUN_ENTRIES = {"rb128-t12-dense": range(3), "ot256-sparse": range(2)}
@@ -46,11 +51,18 @@ def run_lines(wl, entry):
 
 
 def panel_lines(wl, seed):
-    out = wl.panel(*wl.inputs(np.random.default_rng(seed)))
+    f, g, block = wl.inputs(np.random.default_rng(seed))
+    out = wl.panel(f, g, block)
     for key, value in out.items():
         if key == "bony":
             value = [part.values for part in value]
         yield f"{wl.name} {seed} {key} {digest(np.asarray(value, float))}"
+    reports = {
+        "log_report": lp.log_inequality_ratio(f, 3.0),
+        "bernstein_ratios": lp.bernstein_ratio(block, wl.bernstein_j, 1),
+    }
+    for key, report in reports.items():
+        yield f"{wl.name} {seed} {key} {digest(np.array(dataclasses.astuple(report), float))}"
 
 
 def main():

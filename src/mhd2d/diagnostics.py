@@ -7,11 +7,14 @@ p != 2 and sup norms are evaluated on a physical grid refined by a
 factor up to `spectral.OVERSAMPLE`, chosen from the field's band (12
 samples per shortest wavelength, never coarser than the collocation
 grid), because the collocation max of a band-limited field
-underestimates its true sup.  The Calderon-Zygmund ratio samples p = 2
-like 4 and 8, and reads 1 there to round-off.  A record of a state
-whose band exceeds n/6 samples on the OVERSAMPLE grid.  The commutator
-and positivity diagnostics take their products from `spectral.product`
-and their norms from `spectral.lp_norm`.
+underestimates its true sup.  The sampled norms of w and of grad u
+(curl u = w) come from one `spectral.vorticity_gradient_norms` call: a
+record's linf_w, lp4_w, lp8_w and linf_grad_u, and both norms of the
+Calderon-Zygmund ratio, which samples p = 2 like 4 and 8 and reads 1
+there to round-off.  A record of a state whose band exceeds n/6 samples
+on the OVERSAMPLE grid.  The commutator and positivity diagnostics take
+their products from `spectral.product` and their norms from
+`spectral.lp_norm`.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def compute_record(state, config, integrals=(0.0, 0.0, 0.0)) -> DiagnosticsRecor
     diss_u, diff_b, hbeta_j = budget_integrand(state, config)
     h2beta_b = sp.lambda_norm_sq(j, 2.0 * config.beta - 1.0)
 
-    (linf_w, lp4_w, lp8_w), (linf_grad_u,) = sp._vorticity_gradient_norms(
+    (linf_w, lp4_w, lp8_w), (linf_grad_u,) = sp.vorticity_gradient_norms(
         w, (np.inf, 4, 8), (np.inf,)
     )
 
@@ -158,8 +161,6 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     sp.check_finite("order s", s)
     if not s > 0:
         raise ValueError(f"order s must be positive, got {s}")
-    if s < 1.0 and not g.is_zero_mean():
-        raise sp.MeanModeError("Lambda^(s-1) with s < 1 needs zero-mean g")
     p1, p2, p3, p4 = (float(q) for q in exponents)
     allowed = {2.0, 4.0, float("inf")}
     if not {p1, p2, p3, p4} <= allowed:
@@ -171,6 +172,7 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     sp._check_same_grid(f, g)
     f, g = (sp._ldexp(F, -sp._binary_order(F)) for F in (f, g))
     lam_s_g = sp.fractional_laplacian(g, s / 2.0)
+    lam_s1_g = sp.fractional_laplacian(g, (s - 1.0) / 2.0)  # MeanModeError for s < 1
     commutator = sp.fractional_laplacian(sp.product(f, g), s / 2.0) - sp.product(f, lam_s_g)
     left = sp.lp_norm(commutator, p)
     if left == 0.0:
@@ -180,9 +182,7 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float, exponents) ->
     f_lap_f = sp.product(f, SpectralField(f.grid, f.grid.ksq * f.coef))
     f_sq = sp.product(f, f)
     grad_sq = f_lap_f - SpectralField(f_sq.grid, 0.5 * f_sq.grid.ksq * f_sq.coef)
-    term1 = math.sqrt(sp.lp_norm(grad_sq, p1 / 2.0)) * sp.lp_norm(
-        sp.fractional_laplacian(g, (s - 1.0) / 2.0), p2
-    )
+    term1 = math.sqrt(sp.lp_norm(grad_sq, p1 / 2.0)) * sp.lp_norm(lam_s1_g, p2)
     term2 = sp.lp_norm(sp.fractional_laplacian(f, s / 2.0), p3) * sp.lp_norm(g, p4)
     if term1 + term2 == 0.0:
         # grad f == 0 and Lambda^s f == 0 force f constant, where the
@@ -217,13 +217,13 @@ def positivity_check(f: SpectralField, p: int, alpha: float):
 
 def cz_ratio(w: SpectralField, p: float) -> float:
     """||grad u||_p / ||w||_p for u recovered from the vorticity w; the
-    curl-controls-gradient ratio.  Every p is sampled alike, in one
-    `_vorticity_gradient_norms` pass on the grid w's band needs, where the
-    grid means of |f|^p are exact integrals; at p = 2 the ratio is 1 to
-    round-off, at any scale of w."""
+    curl-controls-gradient ratio.  Every p is sampled alike, by one
+    `spectral.vorticity_gradient_norms` call on the grid w's band needs,
+    where the grid means of |f|^p are exact integrals; at p = 2 the ratio
+    is 1 to round-off, at any scale of w."""
     if p not in (2, 4, 8):
         raise ValueError(f"p must be one of 2, 4, 8, got {p}")
     if not w.coef.any():
         raise ValueError("zero input")
-    (lp_w,), (lp_grad,) = sp._vorticity_gradient_norms(w, (p,), (p,))
+    (lp_w,), (lp_grad,) = sp.vorticity_gradient_norms(w, (p,), (p,))
     return lp_grad / lp_w

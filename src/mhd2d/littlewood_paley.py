@@ -260,7 +260,7 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     g = w.grid
     partition = build_partition(g)
     lam_inv_w = sp.fractional_laplacian(w, -0.5)
-    linf_w, grad_sup = sp.vorticity_gradient_sups(w)
+    (linf_w,), (grad_sup,) = sp.vorticity_gradient_norms(w, (np.inf,), (np.inf,))
     l2_u = sp.lambda_norm(lam_inv_w)
     # The Bessel potential (1 + |xi|^2)^(s/2), which keeps the mean.
     sp.check_weight(f"regularity s = {s}", 1.0 + float(g.ksq.max()), s)
@@ -272,7 +272,9 @@ def log_inequality_ratio(w: SpectralField, s: float) -> GradientLogReport:
     n_split = min(max(n_split, 1), partition.j_max)
     term_mid = term_high = 0.0
     for j, block in enumerate(nonzero_blocks(w)):
-        block_sup = 0.0 if block is None else sp.vorticity_gradient_sups(block)[1]
+        block_sup = (
+            0.0 if block is None else sp.vorticity_gradient_norms(block, (), (np.inf,))[1][0]
+        )
         if j < n_split:
             term_mid += block_sup
         else:

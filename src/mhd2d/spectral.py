@@ -57,22 +57,25 @@ Conventions used throughout the package:
   `_fine_arrays` writes the blocks into whole arrays at the factor its
   caller gives, for `oversampled_values` (so `product` and the
   positivity guard) and `bony_decompose`.  A sup or L^p (p != 2) norm
-  needs only a max or a sum, so it takes the blocks of `_fine_rows`, or
-  of `vorticity_gradient_rows` (the one source of w and |grad u|^2 on a
-  grid), in scratch that the next block overwrites.
+  needs only a max or a sum, so it takes the blocks of `_fine_rows` in
+  scratch that the next block overwrites: those of one field for
+  `lp_norm`, or the w and |grad u|^2 blocks that
+  `vorticity_gradient_norms`, the one source of both on a grid, forms
+  from w's.
 * Sampled norms.  `_sampled_norms` is the one reduction of sampled
-  values to sup and L^p norms: `lp_norm`, the records, the
-  Calderon-Zygmund ratio, the gradient sups and the Besov l^q sum all
-  call it.  One pass tracks each field's sup and sums |f|^p block by
-  block (squaring in place for p = 2, 4, 8).  Where a power mean
-  overflows or falls below the smallest normal float (a huge p, or a
-  tiny or huge field), one more pass takes it relative to that sup, so
-  norms scale with the field and a nonzero field never reads 0.  The
-  squares |grad u|^2 are formed for 2^-e w, with 2^e the binary order
-  of w's largest mode (`_binary_order`), so they neither overflow nor
-  underflow, and their norms scale back exactly
-  (`_vorticity_gradient_norms`).  The commutator and product ratios,
-  of degree 0 in each field, take their fields at that unit scale.
+  values to sup and L^p norms: `lp_norm`, `vorticity_gradient_norms`
+  (for the records, the Calderon-Zygmund ratio and the gradient sups of
+  the logarithmic inequality) and the Besov l^q sum all call it.  One
+  pass tracks each field's sup and sums |f|^p block by block (squaring
+  in place for p = 2, 4, 8).  Where a power mean overflows or falls
+  below the smallest normal float (a huge p, or a tiny or huge field),
+  one more pass takes it relative to that sup, so norms scale with the
+  field and a nonzero field never reads 0.  `vorticity_gradient_norms`
+  forms the squares |grad u|^2 for 2^-e w, with 2^e the binary order of
+  w's largest mode (`_binary_order`), so they neither overflow nor
+  underflow, and their norms scale back exactly.  The commutator and
+  product ratios, of degree 0 in each field, take their fields at that
+  unit scale.
 * Grid factors.  `_grid_factor(n, nodes, cap)` is the one rule for the
   factor f of a sampling grid: the smallest power of two f >= 1 with
   f n >= nodes, at most cap.
@@ -123,7 +126,7 @@ no base array can write into a field.  A caller that hands an array over
 gives it up and keeps no view of it: such a view would still write into
 the field.  No operation mutates a field, and none writes to its
 inputs except scratch blocks: `_fine_rows` reuses its yielded buffers,
-`vorticity_gradient_rows` overwrites them with |grad u|^2, and
+`vorticity_gradient_norms` overwrites them with |grad u|^2, and
 `_sampled_norms` overwrites the blocks it reduces.
 """
 
@@ -139,7 +142,7 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # The largest grid refinement for sup and L^p (p != 2) norms: `lp_norm`
-# and `vorticity_gradient_rows` sample a field on a grid of at most
+# and `vorticity_gradient_norms` sample a field on a grid of at most
 # OVERSAMPLE*n points per axis, chosen from its band (module docstring).
 OVERSAMPLE = 4
 # Fine-grid rows per block of `_fine_rows`.
@@ -420,16 +423,16 @@ def _biot_savart_symbols(g: TorusGrid):
 
 
 def _gradient_coefs(g: TorusGrid, coef: np.ndarray):
-    """Coefficients of d1u1, d2u1 and d1u2 for the divergence-free u with
-    curl u = w, from the leading columns `coef` of w's spectrum (all n of
-    them, or fewer); d2u2 = -d1u1.  w must have zero mean: no velocity
-    has a curl with a mean."""
+    """Coefficients of d1u1 and of the strain sigma = d1u2 + d2u1 for the
+    divergence-free u with curl u = w, from the leading columns `coef` of
+    w's spectrum (all n of them, or fewer); d2u2 = -d1u1.  w must have
+    zero mean: no velocity has a curl with a mean."""
     if not _mean_is_zero(coef):
         raise MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
     width = coef.shape[1]
     k1, k2 = g.k[:, None], g.k[:width]
     q = symbol_power(g, -1.0)[:, :width] * coef
-    return -k1 * k2 * q, -k2 * k2 * q, k1 * k1 * q
+    return -k1 * k2 * q, k1 * k1 * q - k2 * k2 * q
 
 
 def zero_mean(F: SpectralField) -> SpectralField:
@@ -605,12 +608,6 @@ def product(*fields: SpectralField) -> SpectralField:
     return SpectralField(TorusGrid(m), _hermitian_extend(_band_columns(values, band), m))
 
 
-def lp_of_power_mean(mean: float, p: float) -> float:
-    """L^p norm over [0, 2pi)^2 from the mean of |f|^p over the samples
-    of a uniform grid."""
-    return float((TWO_PI**2 * mean) ** (1.0 / p))
-
-
 def _sampled_norms(rows, wanted, held=None, counting=False):
     """Sup and L^p norms of sampled fields, reduced from row blocks: the
     one home of both (module docstring).
@@ -654,7 +651,7 @@ def _sampled_norms(rows, wanted, held=None, counting=False):
         return totals, count
 
     def norm(total, count, p):
-        return float(total ** (1.0 / p)) if counting else lp_of_power_mean(total / count, p)
+        return float((total if counting else TWO_PI**2 * (total / count)) ** (1.0 / p))
 
     todo = [(i, p) for i, ps in enumerate(wanted) for p in ps if p != math.inf]
     totals, count = power_sums(todo, relative=False)
@@ -682,54 +679,41 @@ def lp_norm(F: SpectralField, p: float) -> float:
     return _sampled_norms(functools.partial(_fine_rows, [cols], factor), [(p,)])[0][0]
 
 
-def vorticity_gradient_rows(w: SpectralField, e: int = 0):
-    """Row blocks (w, |grad u|^2 / 4^e) for the divergence-free u with
-    curl u = w, on the grid that w's band needs (module docstring), in
-    scratch that the next block overwrites, as `_fine_rows` yields it.
+def vorticity_gradient_norms(w: SpectralField, w_exponents, grad_exponents):
+    """`_sampled_norms` of w and of |grad u| for the divergence-free u with
+    curl u = w, the norms that `w_exponents` and `grad_exponents` list, on
+    the grid that w's band needs (module docstring): the one reader of
+    both.  w must have zero mean.
 
     Three transforms, of w, d1u1 and the strain sigma = d1u2 + d2u1: in 2D
     d2u2 = -d1u1 and w = d1u2 - d2u1, so
-    |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2.  The w block is yielded
-    unsquared, so its max stays exact where w^2 would underflow.  The
-    gradient multipliers act on w's occupied columns only, and w's band
-    and Nyquist check stand for the derived fields.  The gradient is that
-    of 2^-e w, scaled exactly (barring overflow and underflow)."""
+    |grad u|^2 = 2 (d1u1)^2 + (sigma^2 + w^2)/2.  w's columns, band and
+    Nyquist check stand for the derived fields, and are formed once, also
+    when the reduction takes a second pass.  The w blocks are reduced
+    unsquared, so their max stays exact where w^2 would underflow.  The
+    gradient is that of 2^-e w, with 2^e the binary order of w's largest
+    mode (`_binary_order`): |grad u|^2 then neither overflows nor
+    underflows, whatever w's scale, and its norms scale back by 2^e
+    exactly."""
+    e = _binary_order(w)
     cols, factor = _occupied_columns(w)
     scaled = np.ldexp(cols.view(np.float64), -e).view(np.complex128)
-    c11, c21, c12 = _gradient_coefs(w.grid, scaled)
-    c12 += c21
-    w_sq = None  # the first block allocates it, the rest reuse it
-    for v, d11, sigma in _fine_rows((cols, c11, c12), factor):
-        np.square(sigma, out=sigma)
-        w_sq = np.square(np.ldexp(v, -e, out=w_sq), out=w_sq)
-        sigma += w_sq
-        sigma *= 0.5
-        np.square(d11, out=d11)
-        d11 += d11
-        d11 += sigma
-        yield v, d11
+    leading = (cols, *_gradient_coefs(w.grid, scaled))
 
+    def rows():
+        w_sq = None  # the first block allocates it, the rest reuse it
+        for v, d11, sigma in _fine_rows(leading, factor):
+            np.square(sigma, out=sigma)
+            w_sq = np.square(np.ldexp(v, -e, out=w_sq), out=w_sq)
+            sigma += w_sq
+            sigma *= 0.5
+            np.square(d11, out=d11)
+            d11 += d11
+            d11 += sigma
+            yield v, d11
 
-def _vorticity_gradient_norms(w: SpectralField, w_exponents, grad_exponents):
-    """`_sampled_norms` of w and of |grad u| (curl u = w), the norms that
-    `w_exponents` and `grad_exponents` list, from one
-    `vorticity_gradient_rows` pass.
-
-    The gradient is sampled for 2^-e w, with 2^e the binary order of
-    max|w_hat| / n^2, the amplitude of w's largest mode: |grad u|^2 then
-    neither overflows nor underflows, whatever w's scale, and its norms
-    scale back by 2^e exactly."""
-    e = _binary_order(w)
-    rows = functools.partial(vorticity_gradient_rows, w, e)
     w_norms, grad_norms = _sampled_norms(rows, (w_exponents, grad_exponents), held=(1, 2))
     return w_norms, [v * 2.0**e for v in grad_norms]
-
-
-def vorticity_gradient_sups(w: SpectralField):
-    """Grid maxima (||w||_inf, ||grad u||_inf) for the u with curl u = w,
-    on the grid w's band needs."""
-    (top_w,), (top_grad,) = _vorticity_gradient_norms(w, (np.inf,), (np.inf,))
-    return top_w, top_grad
 
 
 # --- random data -----------------------------------------------------------

@@ -3,8 +3,10 @@ dilation `rescale`, and the `inverse`, `partial_derivative`, `curl`,
 `divergence` and `dealias` they need; the plain Parseval sums `l2_norm_sq`,
 `l2_norm` and `weighted_l2_norm_sq`, references for the package's one sum
 `spectral.lambda_norm_sq` and its root `lambda_norm`; the velocity field
-`biot_savart` and its four gradient components `velocity_gradient` for a
-vorticity w, which the package reads off w's spectrum without forming them;
+`biot_savart` and its four gradient components `velocity_gradient` (from
+`gradient_coefs`) for a vorticity w, which the package reads off w's
+spectrum without forming them; the w and |grad u|^2 samples that
+`spectral.vorticity_gradient_norms` reduces (`sampled_gradient_rows`);
 fields sampled from a function (`coordinates`, `from_function`); the
 traced peak of a call (`traced_peak`).
 The solver evolves only the vorticity-current form; no package module
@@ -18,6 +20,7 @@ import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 from mhd2d import spectral as sp
 from mhd2d.dynamics import MHDState, SimulationAbort, SolverConfig
@@ -102,11 +105,42 @@ def biot_savart(w: SpectralField):
     return tuple(SpectralField(w.grid, m * w.coef) for m in sp._biot_savart_symbols(w.grid))
 
 
+def gradient_coefs(g: sp.TorusGrid, coef: np.ndarray):
+    """Coefficients of d1u1, d2u1 and d1u2 for the divergence-free u with
+    curl u = w, from the leading columns `coef` of w's spectrum (all n of
+    them, or fewer); d2u2 = -d1u1.  w must have zero mean."""
+    if not sp._mean_is_zero(coef):
+        raise sp.MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
+    width = coef.shape[1]
+    k1, k2 = g.k[:, None], g.k[:width]
+    q = sp.symbol_power(g, -1.0)[:, :width] * coef
+    return -k1 * k2 * q, -k2 * k2 * q, k1 * k1 * q
+
+
 def velocity_gradient(w: SpectralField):
     """The four components (d1u1, d2u1, d1u2, d2u2) of grad u for the
     divergence-free u with curl u = w, straight from the vorticity."""
-    d11, d21, d12 = sp._gradient_coefs(w.grid, w.coef)
+    d11, d21, d12 = gradient_coefs(w.grid, w.coef)
     return tuple(SpectralField(w.grid, c) for c in (d11, d21, d12, -d11))
+
+
+def sampled_gradient_rows(w: SpectralField):
+    """The whole arrays of w and of |grad u|^2 (curl u = w) that
+    `sp.vorticity_gradient_norms` reduces, caught by a spy on
+    `sp._sampled_norms` that copies the blocks of one more pass of its
+    `rows()`; |grad u|^2, sampled for 2^-e w, is scaled back by 4^e."""
+    caught = []
+    reduce = sp._sampled_norms
+
+    def spy(rows, *args, **kwargs):
+        caught.extend([b.copy() for b in block] for block in rows())
+        return reduce(rows, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sp, "_sampled_norms", spy)
+        sp.vorticity_gradient_norms(w, (np.inf,), (np.inf,))
+    w_rows, grad_sq_rows = (np.concatenate(rows) for rows in zip(*caught))
+    return w_rows, grad_sq_rows * 4.0 ** sp._binary_order(w)
 
 
 def dealias(F: SpectralField) -> SpectralField:

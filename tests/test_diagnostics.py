@@ -233,7 +233,10 @@ class TestZeroMeanPreconditions:
             pytest.param(lambda m, z: lp.log_inequality_ratio(m, 3.0), id="log_inequality_ratio"),
             pytest.param(lambda m, z: dg.cz_ratio(m, 2), id="cz_ratio-p2"),
             pytest.param(lambda m, z: dg.cz_ratio(m, 4), id="cz_ratio-p4"),
-            pytest.param(lambda m, z: sp.vorticity_gradient_sups(m), id="vorticity_gradient_sups"),
+            pytest.param(
+                lambda m, z: sp.vorticity_gradient_norms(m, (np.inf,), (np.inf,)),
+                id="vorticity_gradient_norms",
+            ),
         ],
     )
     def test_a_nonzero_mean_mode_raises(self, call):
@@ -566,7 +569,9 @@ def test_gradient_sups_scale_with_the_field(scale):
     # |grad u|^2 underflows or overflows at these scales; the sups do not.
     w = sp.random_band_field(sp.TorusGrid(64), np.random.default_rng(7), band=12)
     scaled = sp.SpectralField(w.grid, scale * w.coef)
-    for got, want in zip(sp.vorticity_gradient_sups(scaled), sp.vorticity_gradient_sups(w)):
+    (w_got,), (grad_got,) = sp.vorticity_gradient_norms(scaled, (np.inf,), (np.inf,))
+    (w_want,), (grad_want,) = sp.vorticity_gradient_norms(w, (np.inf,), (np.inf,))
+    for got, want in ((w_got, w_want), (grad_got, grad_want)):
         assert got == pytest.approx(scale * want, rel=1e-13, abs=0.0)
 
 
@@ -594,14 +599,37 @@ class TestMonitoredNorms:
             assert rec.linf_w == sp.lp_norm(state.w, np.inf) > 0.0
             assert rec.lp8_w == sp.lp_norm(state.w, 8)
 
+    @pytest.mark.parametrize("amplitude", [2.0, 1e-170])
+    def test_record_forms_the_gradient_columns_once(self, monkeypatch, amplitude):
+        # At 1e-170, |w|^4 underflows and the reduction takes a second
+        # pass; w's columns and the gradient blocks are not formed again.
+        cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0)
+        state = dyn.make_initial(sp.TorusGrid(64), "random-band", band=12, amplitude=amplitude)
+        calls = []
+
+        def counting(name):
+            real = getattr(sp, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("_gradient_coefs", "_occupied_columns"):
+            monkeypatch.setattr(sp, name, counting(name))
+        dg.compute_record(state, cfg)
+        assert sorted(calls) == ["_gradient_coefs", "_occupied_columns"]
+
     @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize("kind", ["orszag-tang", "random-band"])
     def test_record_gradient_sup_matches_gradient_sup(self, kind, n):
-        # Both read `sp.vorticity_gradient_rows`.
+        # Both read `sp.vorticity_gradient_norms`.
         cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=n, dt=1e-3, t_end=0.0)
         state = dyn.make_initial(sp.TorusGrid(n), kind, seed=n, band=8)
         rec = dg.compute_record(state, cfg)
-        assert rec.linf_grad_u == sp.vorticity_gradient_sups(state.w)[1]
+        (_,), (grad_sup,) = sp.vorticity_gradient_norms(state.w, (np.inf,), (np.inf,))
+        assert rec.linf_grad_u == grad_sup
 
     def test_record_gradient_sup_of_a_cellular_flow(self, grid64):
         # w = cos x1 cos x2: |grad u|^2 = (sin^2 x1 sin^2 x2 + cos^2 x1 cos^2 x2)/2,
@@ -611,7 +639,7 @@ class TestMonitoredNorms:
         cfg = dyn.SolverConfig(alpha=0.3, beta=1.4, nu=0.05, eta=0.05, n=64, dt=1e-3, t_end=0.0)
         rec = dg.compute_record(state, cfg)
         assert rec.linf_grad_u == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
-        _, grad_sq = next(sp.vorticity_gradient_rows(w))
+        _, grad_sq = oracles.sampled_gradient_rows(w)
         assert grad_sq[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["orszag-tang", "random-band"])

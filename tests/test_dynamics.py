@@ -524,6 +524,69 @@ class TestRun:
         assert max(abs(x - e[0]) for x in e) / e[0] < 1e-10
 
 
+class TestH1Chain:
+    """The H^1 estimate behind beta > 3/2, link by link along short
+    nu = 0 runs at n = 32 (ROADMAP D24).  The chain is this instrument's
+    derivation, not a quotation of the paper's proof.  In 2D the b-terms
+    of d/dt X/2, X = ||w||^2 + ||j||^2, cancel and leave the cross term
+    T = int j Q, so d/dt X^(1/2) <= |T| / X^(1/2), and:
+
+    * Hoeld: |T| <= 2 ||j||_4 ||grad u||_2 ||grad b||_4, with
+      ||grad u||_2 = ||w||_2 <= X^(1/2);
+    * CZ: ||grad b||_4 = CZ ||j||_4;
+    * Sob: ||j||_4 = Sob ||Lambda^(1/2) j||_2;
+    * Loss: ||Lambda^(1/2) j|| = ||Lambda^(3/2) b|| is at most
+      ||Lambda^beta b|| on the lattice (|xi| >= 1) exactly when
+      beta >= 3/2.
+
+    Then at beta >= 3/2, X^(1/2)(t) - X^(1/2)(0) is at most
+    2 max CZ max Sob^2 `int_diff_b`(t), where `int_diff_b`(t) is
+    int_0^t ||Lambda^beta b||^2.  CZ and Sob are sampled at the records
+    only, so their maxima there stand in for the sups over time that the
+    bound takes."""
+
+    @staticmethod
+    def links(kind, beta):
+        """Per record of the run: (Hoeld, CZ, Sob, Loss, X^(1/2), int_diff_b)."""
+        cfg = dyn.SolverConfig(alpha=0.0, beta=beta, nu=0.0, eta=0.02, n=32, dt=2e-3,
+                               t_end=0.5, output_every=25)
+        init = dyn.make_initial(sp.TorusGrid(32), kind, seed=1, band=8, amplitude=1.0)
+        scale = sp.TWO_PI**2 / 32**4
+        rows = []
+        for state, rec in dyn.run(cfg, init):
+            dw, dj = (f.coef for f in dyn.vorticity_rhs(state))
+            rate = scale * np.sum(np.conj(state.w.coef) * dw + np.conj(state.j.coef) * dj).real
+            (j4,), (gb4,) = sp.vorticity_gradient_norms(state.j, (4,), (4,))
+            half_j = sp.lambda_norm(state.j, 0.5)
+            rows.append((
+                abs(rate) / (j4 * sp.lambda_norm(state.w) * gb4),
+                gb4 / j4,
+                j4 / half_j,
+                half_j / sp.lambda_norm(state.j, beta - 1.0),
+                np.sqrt(rec.X),
+                rec.int_diff_b,
+            ))
+        return rows
+
+    @pytest.mark.parametrize("beta", [1.25, 1.5, 1.75])
+    @pytest.mark.parametrize("kind", ["orszag-tang", "random-band"])
+    def test_links_along_a_run(self, kind, beta):
+        rows = self.links(kind, beta)
+        assert len(rows) == 11
+        hoeld, cz, sob, loss, x_half, int_diff_b = (np.array(col) for col in zip(*rows))
+        # Exact for the Galerkin system, whose tendency keeps T = int j Q.
+        assert np.all(hoeld <= 2.0)
+        if beta == 1.5:
+            assert np.all(loss == 1.0)  # both sides are one call
+        elif beta > 1.5:
+            assert np.all(loss < 1.0)
+        else:
+            assert np.all(loss > 1.0)  # where 3/2 enters this route
+        if beta >= 1.5:
+            bound = 2.0 * cz.max() * sob.max() ** 2 * int_diff_b
+            assert np.all(x_half - x_half[0] <= bound)
+
+
 class TestMakeInitial:
     def test_zero_amplitude_gives_zero_state(self):
         g = sp.TorusGrid(32)

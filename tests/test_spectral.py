@@ -471,12 +471,12 @@ class TestCompactColumns:
         assert np.array_equal(grads[3].coef, -grads[0].coef)
         vals = [sp.oversampled_values(c, 4) for c in grads]
         four = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
-        rows = [[b.copy() for b in pair] for pair in sp.vorticity_gradient_rows(w)]
-        assert np.array_equal(np.concatenate([v for v, _ in rows]), sp.oversampled_values(w, 4))
-        grad_sq = np.concatenate([sq for _, sq in rows])
+        w_rows, grad_sq = oracles.sampled_gradient_rows(w)
+        assert np.array_equal(w_rows, sp.oversampled_values(w, 4))
         assert np.max(np.abs(grad_sq - four)) <= 1e-14 * four.max()
         exact = float(np.sqrt(four.max()))
-        assert sp.vorticity_gradient_sups(w)[1] == pytest.approx(exact, rel=1e-14)
+        (_,), (grad_sup,) = sp.vorticity_gradient_norms(w, (np.inf,), (np.inf,))
+        assert grad_sup == pytest.approx(exact, rel=1e-14)
 
     def test_compute_record_makes_three_transforms(self, monkeypatch):
         # One real pass over the OVERSAMPLE grid each for w, d1u1 and the
@@ -563,7 +563,7 @@ class TestRowBlocks:
         monkeypatch.setattr(sp, "active_band", scan)
         sp.oversampled_values(f, 2)
         sp.lp_norm(f, 4)
-        sp.vorticity_gradient_sups(f)
+        sp.vorticity_gradient_norms(f, (np.inf,), (np.inf,))
 
     @pytest.mark.parametrize("p", [1, 3, 4, 8, np.inf])
     def test_lp_norm_matches_whole_array(self, grid64, p):
@@ -602,7 +602,7 @@ def _grid_sups(w, factor):
     finer grid, from the four squared gradient components, streamed."""
     cols = sp._occupied_columns(w, factor)[0]
     top_w = top_sq = 0.0
-    for v, d11, d21, d12 in sp._fine_rows([cols, *sp._gradient_coefs(w.grid, cols)], factor):
+    for v, d11, d21, d12 in sp._fine_rows([cols, *oracles.gradient_coefs(w.grid, cols)], factor):
         top_w = max(top_w, np.abs(v).max())
         top_sq = max(top_sq, (2.0 * d11**2 + d21**2 + d12**2).max())
     return top_w, top_sq
@@ -656,7 +656,7 @@ class TestBandGrid:
             for F in fields:
                 b = oracles.band(F)
                 m = oracles.sampling_factor(F) * n
-                s_w, s_grad = sp.vorticity_gradient_sups(F)
+                (s_w,), (s_grad,) = sp.vorticity_gradient_norms(F, (np.inf,), (np.inf,))
                 assert s_w == sp.lp_norm(F, np.inf)
                 lo_w, lo_sq = _grid_sups(F, 1)
                 hi_w, hi_sq = _grid_sups(F, 4)
@@ -675,7 +675,7 @@ class TestBandGrid:
             for F in fields:
                 for p in (4, 8):
                     fine = sp.oversampled_values(F, sp.OVERSAMPLE)
-                    whole = sp.lp_of_power_mean(np.mean(np.abs(fine) ** p), p)
+                    whole = (sp.TWO_PI**2 * np.mean(np.abs(fine) ** p)) ** (1 / p)
                     assert sp.lp_norm(F, p) == pytest.approx(whole, rel=1e-13)
 
 
@@ -1027,21 +1027,26 @@ def test_grid_factor(n, nodes, cap, factor):
 
 def test_only_the_reducer_reduces_sampled_blocks():
     """Sup and L^p norms of sampled blocks have one home, `_sampled_norms`:
-    outside the block sources themselves, no scope loops over the blocks
-    of `_fine_rows` or `vorticity_gradient_rows`, and no other scope
-    names the power-mean helpers."""
-    sources = {"_fine_rows", "vorticity_gradient_rows"}
+    only `_fine_arrays` and the row generator of `vorticity_gradient_norms`
+    loop over the blocks of `_fine_rows`, no other scope names the power
+    sums, and no scope names the block sources and norm helpers that
+    `vorticity_gradient_norms` replaced."""
     loops = _package_scopes_where(
         lambda node: isinstance(node, (ast.For, ast.comprehension))
         and isinstance(node.iter, ast.Call)
-        and bool(_names(node.iter.func) & sources)
+        and "_fine_rows" in _names(node.iter.func)
     )
-    assert loops == {"_fine_arrays": ["spectral.py"], "vorticity_gradient_rows": ["spectral.py"]}
+    assert loops == {"_fine_arrays": ["spectral.py"],
+                     "vorticity_gradient_norms.rows": ["spectral.py"]}
     powers = _package_scopes_where(
         lambda node: isinstance(node, (ast.Name, ast.Attribute))
-        and bool(_names(node) & {"power_sum", "lp_of_power_mean"})
+        and "power_sums" in _names(node)
     )
     assert {scope.split(".")[0] for scope in powers} == {"_sampled_norms"}
+    gone = {"vorticity_gradient_rows", "vorticity_gradient_sups", "_vorticity_gradient_norms",
+            "lp_of_power_mean"}
+    assert _package_scopes_where(lambda node: bool(_names(node) & gone)) == {}
+    assert not any(hasattr(sp, name) for name in gone)
 
 
 def test_package_holds_only_what_is_called():

@@ -9,7 +9,9 @@ One line per output, `<workload> <entry> <item> <sha256>`:
   Bony parts hashed by the bytes of their samples, and on the same inputs
   every field of the logarithmic inequality's report (`log_report`) and
   of both Bernstein ratios (`bernstein_ratios`), of which the panel keeps
-  one field each.
+  one field each, and both Bernstein ratios of the band-8 f in the ball
+  of radius 2^3 (`bernstein_ball`), as the panel's block lies in an
+  annulus.
 
 Floats are hashed by their float64 bytes, so two trees print the same
 line only where the values agree to the bit.  The workloads come from
@@ -60,6 +62,7 @@ def panel_lines(wl, seed):
     reports = {
         "log_report": lp.log_inequality_ratio(f, 3.0),
         "bernstein_ratios": lp.bernstein_ratio(block, wl.bernstein_j, 1),
+        "bernstein_ball": lp.bernstein_ratio(f, 3, 1),
     }
     for key, report in reports.items():
         yield f"{wl.name} {seed} {key} {digest(np.array(dataclasses.astuple(report), float))}"

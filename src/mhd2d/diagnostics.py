@@ -138,8 +138,7 @@ def gn_ratio(f: SpectralField, beta: float) -> float:
     l2 = sp.lambda_norm(f)
     if l2 == 0.0:
         raise ValueError("zero input")
-    if not f.is_zero_mean():
-        raise sp.MeanModeError("ratio requires a zero-mean field")
+    sp.check_zero_mean(f=f)
     linf = sp.lp_norm(f, np.inf)
     hbeta = sp.lambda_norm(f, beta)
     return linf / (l2 ** ((beta - 1.0) / beta) * hbeta ** (1.0 / beta))

@@ -104,7 +104,8 @@ class SolverConfig:
 class MHDState:
     """(vorticity, current) pair at a finite time t; both zero-mean and
     dealiased (no coefficient with max(|xi_1|, |xi_2|) > n//3, the grid's
-    `dealias_cutoff`)."""
+    `dealias_cutoff`).  The mean rule is exact, coef[0, 0] == 0: this is the
+    state invariant that the stepper keeps, not `sp.check_zero_mean`'s."""
 
     t: float
     w: SpectralField

@@ -84,10 +84,12 @@ def nonzero_blocks(f: SpectralField) -> list[SpectralField | None]:
 def dyadic_block(f: SpectralField, j: int) -> SpectralField:
     """Frequency-localized piece Phi_j f (the zero field when A_j misses
     the lattice)."""
+    if not isinstance(j, (int, np.integer)):
+        raise ValueError(f"block index j must be an integer, got {j!r}")
     partition = build_partition(f.grid)
     if not 0 <= j <= partition.j_max:
         return SpectralField.zeros(f.grid)
-    return SpectralField(f.grid, partition.phi[j] * f.coef)
+    return SpectralField(f.grid, partition.phi[int(j)] * f.coef)
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,7 @@ class BesovSpec:
 
 def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
     """l^q over resolved j of 2^(j s) ||block_j f||_{L^p}."""
-    if not f.is_zero_mean():
-        raise sp.MeanModeError("homogeneous Besov norm needs a zero-mean field")
+    sp.check_zero_mean(f=f)
     if spec.s > 0:
         j_max = build_partition(f.grid).j_max
         sp.check_weight(f"regularity index s = {spec.s}", 2.0, j_max * spec.s)
@@ -184,9 +185,7 @@ def bony_decompose(f: SpectralField, g: SpectralField):
     on the 2n grid to round-off.
     """
     sp._check_same_grid(f, g)
-    for name, F in (("f", f), ("g", g)):
-        if not F.is_zero_mean():
-            raise sp.MeanModeError(f"{name} must be zero-mean for the paraproduct split")
+    sp.check_zero_mean(f=f, g=g)
     n = f.grid.n
     band = sp._support(f)[1] + sp._support(g)[1]
     factor = sp._grid_factor(n, 2 * band + 2, 2)
@@ -207,9 +206,7 @@ def product_estimate_ratio(f: SpectralField, g: SpectralField, sigma1: float, si
             f"need sigma1, sigma2 < 1 and sigma1 + sigma2 > 0, got ({sigma1}, {sigma2})"
         )
     sp._check_same_grid(f, g)
-    for name, F in (("f", f), ("g", g)):
-        if not F.is_zero_mean():
-            raise sp.MeanModeError(f"{name} must be zero-mean")
+    sp.check_zero_mean(f=f, g=g)
     f, g = (sp._ldexp(F, -sp._binary_order(F)) for F in (f, g))
     denom = sp.lambda_norm(f, sigma1) * sp.lambda_norm(g, sigma2)
     if denom == 0.0:
@@ -298,7 +295,7 @@ class BernsteinRatios:
     linf: float
 
 
-def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") -> BernsteinRatios:
+def bernstein_ratio(f: SpectralField, j: int, k: int) -> BernsteinRatios:
     """sup_{|gamma| = k} ||d^gamma f||_p / (2^(jk) ||f||_p) for p = 2 and
     p = inf.
 
@@ -309,27 +306,22 @@ def bernstein_ratio(f: SpectralField, j: int, k: int, support: str = "annulus") 
     sqrt(2), because max_i |xi_i| >= |xi| / sqrt(2); diagonal modes
     xi = (m, m) attain that gap.
 
-    `support` declares what the caller built: "annulus" requires the
-    active spectrum inside 2^(j-1) <= |xi| <= 2^(j+1) (two-sided bounds
-    apply), "ball" inside |xi| <= 2^j (upper bound only).
+    f's active spectrum must lie in one of the lemma's two supports, read
+    off the spectrum: the ball |xi| <= 2^j (the upper bound applies) or
+    the annulus 2^(j-1) <= |xi| <= 2^(j+1) (both bounds apply).
     """
     sp.check_finite("scale j", j)
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"derivative order k must be a nonnegative integer, got {k}")
     sp.check_weight(f"scale j = {j}", 2.0, j + 1)  # the annulus's outer radius
-    if support not in ("annulus", "ball"):
-        raise ValueError(f"support must be 'annulus' or 'ball', got {support!r}")
     g = f.grid
     active = sp.active_modes(f)
     if not active.any():
         raise ValueError("zero input")
     radius = np.sqrt(g.ksq[active])
-    if support == "annulus":
-        if not 2.0 ** (j - 1) <= radius.min() <= radius.max() <= 2.0 ** (j + 1):
-            raise ValueError(f"spectrum not supported in the dyadic annulus at scale 2^{j}")
-    else:
-        if not radius.max() <= 2.0**j:
-            raise ValueError(f"spectrum not supported in the ball of radius 2^{j}")
+    lo, hi = radius.min(), radius.max()
+    if not (hi <= 2.0**j or 2.0 ** (j - 1) <= lo <= hi <= 2.0 ** (j + 1)):
+        raise ValueError(f"spectrum not supported in the ball or the dyadic annulus at scale 2^{j}")
     if k == 0:
         return BernsteinRatios(l2=1.0, linf=1.0)
 

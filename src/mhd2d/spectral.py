@@ -106,18 +106,20 @@ Where each invariant is checked:
   (no mode with max(|xi_1|, |xi_2|) > n/3); a field built with a true
   `claim_dealiased` argument raises DealiasError if it does not hold.
 * Zero mean and dealiasing of a simulation state: `MHDState`
-  (module dynamics), for every state the solver makes or reads.
-* Zero mean of a curl field: `is_zero_mean`'s rule, in `_gradient_coefs`
-  and in `fractional_laplacian` of negative order (Lambda^-1 w has the
-  moduli |u_hat| = |xi|^-1 |w_hat|), so no velocity gradient or
-  velocity norm is formed from a w with a mean.
+  (module dynamics), for every state the solver makes or reads, by the
+  exact rule coef[0, 0] == 0 that the stepper keeps.
+* Zero mean of the input of a homogeneous operation, which sees a field
+  only modulo its mean: `check_zero_mean`, the one rule, in
+  `fractional_laplacian` of negative order, `vorticity_gradient_norms`,
+  `diagnostics.gn_ratio` and `littlewood_paley.besov_norm`,
+  `bony_decompose` and `product_estimate_ratio`.
 * Hermitian symmetry: built exactly by `_hermitian_extend` on every
   forward transform, and checked on outside input by `read_checkpoint`.
 * Active spectrum: `active_modes` holds the one threshold below which a
   coefficient counts as transform round-off.  Grids read the exact
   support, checks read the active spectrum: the Nyquist check of
   `_occupied_columns` (through `active_band`) and
-  `littlewood_paley.bernstein_ratio`.
+  `littlewood_paley.bernstein_ratio`'s ball-or-annulus test.
 
 Ownership: a field takes over a C-contiguous float64/complex128 array
 that owns its data (`base is None`) without a copy and freezes it in
@@ -190,6 +192,14 @@ def check_weight(name: str, base: float, exponent: float) -> None:
         top = math.inf
     if not math.isfinite(top):
         raise ValueError(f"{name}: the weight {base:g}^{exponent:g} is not a finite float")
+
+
+def check_zero_mean(**fields) -> None:
+    """MeanModeError naming the first keyword whose field has a mean: a
+    xi = 0 coefficient above 1e-12 of its largest (a zero field passes)."""
+    for name, F in fields.items():
+        if abs(F.coef[0, 0]) > 1e-12 * np.max(np.abs(F.coef)):
+            raise MeanModeError(f"{name} must have zero mean; got a nonzero xi=0 mode")
 
 
 def check_grid_size(n: int) -> int:
@@ -314,11 +324,6 @@ class SpectralField:
         flipped = self.coef[_negated_index(self.grid.n)][:, _negated_index(self.grid.n)]
         return float(np.max(np.abs(flipped - np.conj(self.coef))))
 
-    def is_zero_mean(self) -> bool:
-        """True if the xi=0 coefficient is at most 1e-12 of the largest
-        coefficient (exactly zero for a zero field)."""
-        return _mean_is_zero(self.coef)
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         """The sum of two fields on one grid; GridMismatchError otherwise."""
         _check_same_grid(self, other)
@@ -326,12 +331,6 @@ class SpectralField:
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + SpectralField(other.grid, -other.coef)
-
-
-def _mean_is_zero(coef: np.ndarray) -> bool:
-    """`is_zero_mean`'s rule on a spectrum, or on leading columns of its
-    half spectrum, which hold its largest coefficient too."""
-    return abs(coef[0, 0]) <= 1e-12 * np.max(np.abs(coef))
 
 
 def _negated_index(n: int) -> np.ndarray:
@@ -411,8 +410,8 @@ def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
     check_finite("exponent gamma", gamma)
     if not gamma >= -1.0:
         raise ValueError(f"exponent gamma must be >= -1, got {gamma}")
-    if gamma < 0.0 and not F.is_zero_mean():
-        raise MeanModeError("negative-order multiplier needs a zero-mean field")
+    if gamma < 0.0:
+        check_zero_mean(F=F)
     return SpectralField(F.grid, symbol_power(F.grid, gamma) * F.coef)
 
 
@@ -425,10 +424,8 @@ def _biot_savart_symbols(g: TorusGrid):
 def _gradient_coefs(g: TorusGrid, coef: np.ndarray):
     """Coefficients of d1u1 and of the strain sigma = d1u2 + d2u1 for the
     divergence-free u with curl u = w, from the leading columns `coef` of
-    w's spectrum (all n of them, or fewer); d2u2 = -d1u1.  w must have
-    zero mean: no velocity has a curl with a mean."""
-    if not _mean_is_zero(coef):
-        raise MeanModeError("curl fields have zero mean; got a nonzero xi=0 mode")
+    w's spectrum (all n of them, or fewer); d2u2 = -d1u1.  The caller
+    checks that w has zero mean: no velocity has a curl with a mean."""
     width = coef.shape[1]
     k1, k2 = g.k[:, None], g.k[:width]
     q = symbol_power(g, -1.0)[:, :width] * coef
@@ -695,6 +692,7 @@ def vorticity_gradient_norms(w: SpectralField, w_exponents, grad_exponents):
     mode (`_binary_order`): |grad u|^2 then neither overflows nor
     underflows, whatever w's scale, and its norms scale back by 2^e
     exactly."""
+    check_zero_mean(w=w)
     e = _binary_order(w)
     cols, factor = _occupied_columns(w)
     scaled = np.ldexp(cols.view(np.float64), -e).view(np.complex128)

@@ -227,9 +227,16 @@ class TestZeroMeanPreconditions:
                 id="commutator_ratio-s-below-1",
             ),
             pytest.param(lambda m, z: lp.bony_decompose(m, z), id="bony_decompose"),
+            pytest.param(lambda m, z: lp.bony_decompose(z, m), id="bony_decompose-g"),
             pytest.param(
                 lambda m, z: lp.product_estimate_ratio(m, z, 0.5, 0.5), id="product_estimate_ratio"
             ),
+            pytest.param(
+                lambda m, z: lp.product_estimate_ratio(z, m, 0.5, 0.5),
+                id="product_estimate_ratio-g",
+            ),
+            pytest.param(lambda m, z: lp.besov_norm(m, lp.BesovSpec(0.5, 2, 2)), id="besov_norm"),
+            pytest.param(lambda m, z: sp.fractional_laplacian(m, -0.5), id="fractional_laplacian"),
             pytest.param(lambda m, z: lp.log_inequality_ratio(m, 3.0), id="log_inequality_ratio"),
             pytest.param(lambda m, z: dg.cz_ratio(m, 2), id="cz_ratio-p2"),
             pytest.param(lambda m, z: dg.cz_ratio(m, 4), id="cz_ratio-p4"),
@@ -304,7 +311,7 @@ FLOAT_GUARDS = {
     ),
     "bernstein_ratio-ball": (
         "scale j must be finite", f"scale j = 1e\\+300: .* {OVERFLOW}",
-        lambda g, f, b, x: lp.bernstein_ratio(b, x, 1, "ball"),
+        lambda g, f, b, x: lp.bernstein_ratio(b, x, 1),
     ),
     "positivity_check-alpha": (
         "alpha must lie in", "alpha must lie in",
@@ -394,15 +401,15 @@ DOMAIN_GUARDS = {
     ),
     "BesovSpec-p": ("p must lie in", lambda f, b, x: lp.BesovSpec(0.5, x, 2), [0.5, -1.0]),
     "BesovSpec-q": ("q must lie in", lambda f, b, x: lp.BesovSpec(0.5, 2, x), [0.5, 0.0]),
-    "bernstein_ratio-support": (
-        "support must be 'annulus' or 'ball'",
-        lambda f, b, x: lp.bernstein_ratio(b, 2, 1, x),
-        ["disk", "Ball"],
-    ),
     "bernstein_ratio-ball": (
         "not supported in the ball",
-        lambda f, b, x: lp.bernstein_ratio(b, x, 1, "ball"),
-        [1, 2],
+        lambda f, b, x: lp.bernstein_ratio(b, x, 1),
+        [0, 1],
+    ),
+    "dyadic_block-j": (
+        "block index j must be an integer",
+        lambda f, b, x: lp.dyadic_block(f, x),
+        [1.5, float("nan"), float("inf")],
     ),
     "make_initial-kind": (
         "kind must be one of",

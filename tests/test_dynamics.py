@@ -201,6 +201,29 @@ class TestVorticityRHS:
         rate = sp.TWO_PI**2 * np.mean(oracles.inverse(state.j).values * q)
         assert abs(scale * terms.sum().real - rate) <= 1e-13 * scale * np.abs(terms).sum()
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_b_terms_cancel_alone(self, n, seed):
+        """int (b.grad j) w + (b.grad w) j = int b.grad(j w) = 0 for a
+        divergence-free b: the 2D structure that leaves only int j Q in
+        the enstrophy rate.  Each factor has degree at most n//3, so the
+        cubic has degree 3 (n//3) < n and its collocation mean is the
+        exact integral.  The sign-flipped sum has no such cancellation."""
+        state = dyn.make_initial(sp.TorusGrid(n), "random-band", seed, amplitude=2.0,
+                                 band=n // 3)
+        b1, b2 = (oracles.inverse(f).values for f in oracles.biot_savart(state.j))
+        w, j = (oracles.inverse(f).values for f in (state.w, state.j))
+
+        def transport(field):
+            d1, d2 = (oracles.inverse(oracles.partial_derivative(field, a)).values for a in (1, 2))
+            return b1 * d1 + b2 * d2
+
+        bj_w, bw_j = transport(state.j) * w, transport(state.w) * j
+        total = bj_w + bw_j
+        assert abs(np.mean(total)) <= 1e-13 * np.mean(np.abs(total))
+        flipped = bj_w - bw_j
+        assert abs(np.mean(flipped)) >= 1e-4 * np.mean(np.abs(flipped))
+
     def test_fft_budget(self, monkeypatch):
         # 4 inverse + 3 forward transforms per stage, each a complex pass
         # along axis 0 and a real pass along axis 1, with no 2D call; the

@@ -299,14 +299,14 @@ class TestBernstein:
         # the component lower bound |xi| / (sqrt(2) 2^j).
         j = 2
         xi = np.hypot(4.0, 4.0)
-        r = lp.bernstein_ratio(f, j, 1, support="annulus")
+        r = lp.bernstein_ratio(f, j, 1)
         assert r.l2 == pytest.approx(xi / (np.sqrt(2) * 2**j), rel=1e-12)
         assert r.linf == pytest.approx(1.0, rel=1e-6)
 
     def test_support_violation_rejected(self, grid):
         f = band_field(grid, seed=51, band=40)
         with pytest.raises(ValueError, match="support"):
-            lp.bernstein_ratio(f, 2, 1, support="annulus")
+            lp.bernstein_ratio(f, 2, 1)
 
     @pytest.mark.parametrize("rel, counted", [(1e-14, False), (1e-12, True)])
     def test_active_threshold_shared_with_active_band(self, grid, rel, counted):
@@ -320,22 +320,22 @@ class TestBernstein:
         assert (sp.active_band(f) == 40) == counted
         if counted:
             with pytest.raises(ValueError, match="annulus"):
-                lp.bernstein_ratio(f, 3, 1, support="annulus")
+                lp.bernstein_ratio(f, 3, 1)
         else:
-            lp.bernstein_ratio(f, 3, 1, support="annulus")
+            lp.bernstein_ratio(f, 3, 1)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_annulus_ensemble_two_sided(self, grid, k):
         for seed in range(20):
             f = lp.dyadic_block(band_field(grid, seed=300 + seed, band=40), 4)
-            r = lp.bernstein_ratio(f, 4, k, support="annulus")
+            r = lp.bernstein_ratio(f, 4, k)
             for val in (r.l2, r.linf):
                 assert 0.25 <= val <= 4.0
 
     def test_ball_ensemble_upper_bound(self, grid):
         for seed in range(10):
             f = band_field(grid, seed=400 + seed, band=16)
-            r = lp.bernstein_ratio(f, 4, 1, support="ball")
+            r = lp.bernstein_ratio(f, 4, 1)
             assert r.l2 <= 1.0 + 1e-12  # components bounded by |xi| <= 2^j
 
 

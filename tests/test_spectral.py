@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -986,6 +987,36 @@ def test_velocity_is_read_off_the_vorticity_spectrum():
     assert "cz_ratio" not in _package_scopes_where(
         lambda node: _names(node) & {"lambda_norm_sq", "lambda_norm"}
     )
+
+
+def test_one_zero_mean_rule():
+    """Every homogeneous operation refuses a mean through
+    `check_zero_mean`; `MHDState` keeps its own exact rule, the state
+    invariant.  Those are the package's two MeanModeError raises, the
+    retired spellings of the rule are named nowhere, and
+    `bernstein_ratio` reads its support off the spectrum, with no option
+    to declare it."""
+    raises = _package_scopes_where(
+        lambda node: isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and "MeanModeError" in _names(node.exc.func)
+    )
+    assert raises == {"check_zero_mean": ["spectral.py"], "MHDState.__post_init__": ["dynamics.py"]}
+    assert _package_scopes_where(
+        lambda node: bool(_names(node) & {"is_zero_mean", "_mean_is_zero"})
+    ) == {}
+    assert list(inspect.signature(lp.bernstein_ratio).parameters) == ["f", "j", "k"]
+
+
+def test_check_zero_mean_names_the_field_and_allows_round_off():
+    g = sp.TorusGrid(32)
+    coef = np.zeros((32, 32), dtype=np.complex128)
+    coef[1, 2] = coef[-1, -2] = 1.0
+    sp.check_zero_mean(zero=sp.SpectralField.zeros(g), f=sp.SpectralField(g, coef.copy()))
+    coef[0, 0] = 1e-12
+    sp.check_zero_mean(f=sp.SpectralField(g, coef.copy()))
+    coef[0, 0] = 2e-12
+    with pytest.raises(sp.MeanModeError, match="^g must have zero mean"):
+        sp.check_zero_mean(f=sp.SpectralField.zeros(g), g=sp.SpectralField(g, coef))
 
 
 def _doubles_in_place(node):
